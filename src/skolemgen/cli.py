@@ -103,18 +103,39 @@ def _positive(text: str) -> int:
 
 
 def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
+    """--workers, else SKOLEMGEN_WORKERS, else 1; capped at the CPUs this
+    process may run on."""
+    workers = args.workers
     env = os.environ.get("SKOLEMGEN_WORKERS")
-    if env:
+    if workers is None and env:
         try:
-            return max(1, int(env))
+            workers = max(1, int(env))
         except ValueError:
             print(
                 f"skolemgen: ignoring non-integer SKOLEMGEN_WORKERS={env!r}",
                 file=sys.stderr,
             )
-    return 1
+    if workers is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # not every platform has it
+        cpus = os.cpu_count() or 1
+    if workers > cpus:
+        print(
+            f"skolemgen: {workers} workers requested but {cpus} CPU(s) available; using {cpus}",
+            file=sys.stderr,
+        )
+        return cpus
+    return workers
+
+
+def _closed_values(text: str) -> tuple[int, ...]:
+    """Values of a sequence in the text grammar that has no open arcs."""
+    entries = parse_entries(text)
+    if any(e.is_open for e in entries):
+        raise InvalidSequenceError("open: sequence still contains open arcs")
+    return tuple(e.value for e in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +148,8 @@ def cmd_count_open(args) -> int:
             for n, c in enumerate(engine.parallel_count(args.max_n, workers), start=1):
                 print(OutputRecord.for_count(n, c).payload)
         else:
-            # stream level by level so partial output survives resource failure
+            # the depth-first counts all arrive after one pass; each line is
+            # flushed so that what was printed survives a later failure
             for n, c in enumerate(engine.iter_open_counts(args.max_n), start=1):
                 print(OutputRecord.for_count(n, c).payload, flush=True)
     except (MemoryError, engine.ResourceExhaustedError) as exc:
@@ -158,6 +180,8 @@ def cmd_enumerate(args) -> int:
             count += 1
         out.flush()
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and out is sys.stdout:
+            raise  # the reader went away; main() ends the run normally
         print(f"skolemgen: write failed: {exc}", file=sys.stderr)
         return EXIT_IO
     finally:
@@ -183,18 +207,14 @@ def cmd_verify(args) -> int:
             if not line:
                 continue
             try:
-                entries = parse_entries(line)
+                values = _closed_values(line)
             except InvalidSequenceError as exc:
                 print(f"FAIL {exc}")
                 all_ok = False
                 continue
-            if any(e.is_open for e in entries):
-                print("FAIL open: sequence still contains open arcs")
-                all_ok = False
-                continue
-            reason = skolem_violation(tuple(e.value for e in entries))
+            reason = skolem_violation(values)
             if reason is None:
-                print(f"OK order={len(entries) // 2}")
+                print(f"OK order={len(values) // 2}")
             else:
                 print(f"FAIL {reason}")
                 all_ok = False
@@ -213,8 +233,8 @@ def cmd_sts(args) -> int:
         return EXIT_USAGE
     if args.sequence is not None:
         try:
-            w = SkolemSequence(tuple(int(t) for t in args.sequence.split(",")))
-        except (InvalidSequenceError, ValueError) as exc:
+            w = SkolemSequence(_closed_values(args.sequence))
+        except InvalidSequenceError as exc:
             print(f"skolemgen: invalid sequence: {exc}", file=sys.stderr)
             return EXIT_INVALID
     else:
@@ -307,7 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader of stdout went away (``| head``): a normal end.  Point
+        # stdout at /dev/null so the interpreter's final flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

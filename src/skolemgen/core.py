@@ -209,22 +209,33 @@ def skolem_violation(values: Sequence[int]) -> str | None:
     """First violated Skolem condition for a plain integer sequence, or None.
 
     The reason string starts with a stable tag: ``empty``, ``length``,
-    ``value``, ``count`` or ``gap``.
+    ``value``, ``count`` or ``gap``.  Entry values are checked first, then
+    each k = 1..n in turn for its count and its gap; values above n count
+    toward nothing.  One pass over the input, so the cost is linear.
     """
     vals = list(values)
     if not vals:
         return "empty: a Skolem sequence has order at least 1"
     if len(vals) % 2:
         return f"length: odd length {len(vals)}"
+    n = len(vals) // 2
+    seen = [0] * (n + 1)  # occurrences of each value 1..n
+    first = [0] * (n + 1)  # 1-based positions of its first two occurrences
+    second = [0] * (n + 1)
     for pos, v in enumerate(vals, start=1):
         if not isinstance(v, int) or v < 1:
             return f"value: entry {v!r} at position {pos} is not a positive integer"
-    n = len(vals) // 2
+        if v <= n:
+            c = seen[v]
+            if c == 0:
+                first[v] = pos
+            elif c == 1:
+                second[v] = pos
+            seen[v] = c + 1
     for k in range(1, n + 1):
-        where = [i for i, v in enumerate(vals, start=1) if v == k]
-        if len(where) != 2:
-            return f"count: value {k} appears {len(where)} times, expected exactly 2"
-        i, j = where
+        if seen[k] != 2:
+            return f"count: value {k} appears {seen[k]} times, expected exactly 2"
+        i, j = first[k], second[k]
         if j - i != k:
             return f"gap: value {k} sits at positions {i} and {j} (gap {j - i}, expected {k})"
     return None
@@ -252,7 +263,8 @@ def format_state(state: OpenState) -> str:
 
 
 def parse_entries(text: str) -> tuple[Entry, ...]:
-    """Parse the comma grammar: ``k`` closed, ``*k`` open, k a positive integer."""
+    """Parse the comma grammar: ``k`` closed, ``*k`` open, k a positive
+    integer written in ASCII digits; whitespace around a token is ignored."""
     text = text.strip()
     if not text:
         return ()
@@ -261,10 +273,10 @@ def parse_entries(text: str) -> tuple[Entry, ...]:
         tok = raw.strip()
         is_open = tok.startswith("*")
         body = tok[1:] if is_open else tok
-        try:
-            value = int(body)
-        except ValueError:
-            raise InvalidSequenceError(f"parse: bad token {tok!r}") from None
+        # int() alone would also take signs, underscores and non-ASCII digits
+        if not (body.isascii() and body.isdigit()):
+            raise InvalidSequenceError(f"parse: bad token {tok!r}")
+        value = int(body)
         if value < 1:
             raise InvalidSequenceError(f"parse: non-positive value in token {tok!r}")
         entries.append(Entry(value, is_open))

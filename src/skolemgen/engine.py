@@ -2,19 +2,21 @@
 enumeration of Skolem sequences, and feasibility pruning.
 
 The tree rooted at the empty state (see ``core``) has the open Skolem
-sequences of order n as its level-n nodes.  Storing whole levels is what
-kills naive traversals: level counts grow by roughly x3.7 per level, so a
-level-storing search runs out of memory long before it runs out of time.
-Everything here therefore walks depth first by default, with memory
-proportional to the depth; a level-synchronised mode over compressed states
-exists for cross-checks at small orders.
+sequences of order n as its level-n nodes.  Level counts grow by roughly
+x3.7 per level, so a level-storing search runs out of memory long before it
+runs out of time; the walk here goes depth first, with memory proportional
+to the depth.
 
-For counting, a node is carried in compressed form.  Open values are pinned
-to their positions (an open arc at position i of a length-n state carries
-value n - i, 0-based), so the multiset of open positions plus the set of
-used lengths determines every child and the "tick all open values up" step
-of the growth rules becomes implicit.  Full entry sequences are materialised
-only when enumerating.
+It carries a node as three integers (n, O, U): the length n, the bitmask O
+of open values (bit k set when an open arc carries *k) and the bitmask U of
+used lengths.  Starting an arc ticks every open value up and appends *1,
+``O' = (O << 1) | 2``; closing ``*j`` while bit j of U is clear gives
+``O' = (O ^ 1 << j) << 1`` and ``U' = U | 1 << j``.  A node of length 2N is
+a Skolem sequence exactly when U holds the lengths 1..N.  Entries matter
+only when enumerating: the walk writes both ends of each arc it closes into
+one buffer.  The same walk counts levels, enumerates with or without
+pruning, and runs the subtrees of worker processes; ``_iter_counts_levels``
+and ``iter_level_states`` recount the tree by other means, as cross-checks.
 
 Pruning against a target order N cuts subtrees that cannot reach a Skolem
 leaf: length/parity bookkeeping, used lengths within 1..N, and a greedy
@@ -34,6 +36,9 @@ from typing import Callable, Iterator
 from .core import OpenState, SkolemSequence, children
 
 PROGRESS_INTERVAL = 10_000_000  # visited-node liveness signal, stderr
+
+_Seed = tuple[int, int, int]  # a node (n, O, U) that a walk starts from
+_ROOT: _Seed = (0, 0, 0)  # the empty sequence
 
 
 class ResourceExhaustedError(RuntimeError):
@@ -77,47 +82,135 @@ def _require_order(n: int) -> None:
         raise ValueError(f"order must be >= 1, got {n}")
 
 
+def _lengths(order: int) -> int:
+    """Bitmask of the lengths 1..order."""
+    return (2 << order) - 2
+
+
+# ---------------------------------------------------------------------------
+# the walk
+
+def _feasible(n: int, O: int, U: int, order: int) -> bool:
+    """Sound filter: False only if no descendant of the node (n, O, U) at
+    length 2*order can be a Skolem sequence of that order.
+
+    Tests, each individually sound:
+      * room and parity: closing the p open arcs and pairing up whatever
+        positions remain needs 2N - n - p >= 0 and even;
+      * every used length must lie in 1..N;
+      * no open value may exceed N;
+      * the open values, which must eventually close at distinct unused
+        lengths no smaller than their current value, must match injectively
+        into {1..N} minus the used set: the k-th largest open value needs
+        k unused lengths at or above it (the greedy largest-to-largest check).
+    """
+    rem = 2 * order - n - O.bit_count()
+    if rem < 0 or rem & 1 or (O | U) >> (order + 1):
+        return False
+    free = ~U & _lengths(order)
+    k = 0
+    while O:
+        j = O.bit_length() - 1
+        O ^= 1 << j
+        k += 1
+        if (free >> j).bit_count() < k:
+            return False
+    return True
+
+
+def _walk(
+    ent: list[int],
+    seed: _Seed,
+    visits: list[int],
+    goal: int | None = None,
+    cut: list[int] | None = None,
+) -> Iterator[tuple[int, int]]:
+    """Depth-first walk from ``seed`` = (n, O, U) to length ``len(ent)``.
+
+    Children are popped in canonical order: the opener, then the closers by
+    increasing j.  ``visits[m]`` counts the nodes entered at length m.  With
+    ``cut`` given, a node short of full length that fails ``_feasible``
+    against order ``len(ent) // 2`` is counted in ``cut[0]`` and not
+    expanded.  At full length the walk yields (O, U) for every node whose
+    used mask contains ``goal``: 0 takes every node, None none.
+
+    ``ent[:n]`` holds the seed's entries.  Closing ``*j`` writes both ends of
+    its arc, so at each yield ``ent`` holds the node's closed entries; those
+    at open positions are stale, and a Skolem leaf has none.
+    """
+    depth = len(ent)
+    order = depth // 2
+    beat = PROGRESS_INTERVAL
+    t = 0
+    stack = [(*seed, 0)]  # (n, O, U, j): j > 0 when the node closed *j
+    pop, push = stack.pop, stack.append
+    while stack:
+        n, O, U, j = pop()
+        if j:
+            ent[n - 1] = ent[n - 1 - j] = j
+        visits[n] += 1
+        t += 1
+        if t == beat:
+            print(
+                f"skolemgen: visited {t} nodes (currently at level {n} of {depth})",
+                file=sys.stderr,
+            )
+            beat += PROGRESS_INTERVAL
+        if n == depth:
+            if goal is not None and U & goal == goal:
+                yield O, U
+            continue
+        if cut is not None and not _feasible(n, O, U, order):
+            cut[0] += 1
+            continue
+        n += 1
+        # The stack pops last-pushed first: closers by decreasing j, then the opener.
+        closable = O & ~U
+        while closable:
+            j = closable.bit_length() - 1
+            b = 1 << j
+            closable ^= b
+            push((n, (O ^ b) << 1, U | b, j))
+        push((n, (O << 1) | 2, U, 0))
+
+
+def _split(
+    limit: int, workers: int
+) -> tuple[list[int], list[tuple[_Seed, tuple[int, ...]]]]:
+    """Expand the tree to the first level holding at least 4x ``workers``
+    nodes, or to level ``limit`` if none before it does.
+
+    Returns the node counts of levels 1..that level and its nodes as (seed,
+    entries) pairs in canonical order.  The subtrees below them share
+    nothing, so results merged in seed order do not depend on the worker
+    count or on scheduling.
+    """
+    counts: list[int] = []
+    seeds = [(_ROOT, ())]
+    while len(counts) < limit and len(seeds) < 4 * workers:
+        depth = len(counts) + 1
+        ent = [0] * depth
+        visits = [0] * (depth + 1)
+        seeds = [((depth, O, U), tuple(ent)) for O, U in _walk(ent, _ROOT, visits, goal=0)]
+        counts = visits[1:]
+    return counts, seeds
+
+
 # ---------------------------------------------------------------------------
 # counting
 
+def _count_below(job: tuple[_Seed, int]) -> list[int]:
+    """Node counts of levels n+1..max_order below one seed (n, O, U)."""
+    seed, max_order = job
+    visits = [0] * (max_order + 1)
+    for _ in _walk([0] * max_order, seed, visits):
+        pass
+    return visits[seed[0] + 1 :]
+
+
 def _iter_counts_dfs(max_order: int) -> Iterator[int]:
-    """Level counts by repeated bounded-depth DFS over compressed states.
-
-    Each level is completed before the next begins (so partial results are
-    well defined) at the price of re-walking shallower levels; the growth
-    factor makes that overhead a constant ~1.4x.
-    """
-    open_pos: list[int] = []
-    used: set[int] = set()
-    progress = [0]
-
-    def count_at(limit: int) -> int:
-        def walk(n: int) -> int:
-            t = progress[0] + 1
-            progress[0] = t
-            if not t % PROGRESS_INTERVAL:
-                print(f"skolemgen: visited {t} nodes", file=sys.stderr)
-            if n == limit:
-                return 1
-            total = 0
-            open_pos.append(n)
-            total += walk(n + 1)
-            open_pos.pop()
-            for idx in range(len(open_pos) - 1, -1, -1):
-                pos = open_pos[idx]
-                j = n - pos
-                if j not in used:
-                    del open_pos[idx]
-                    used.add(j)
-                    total += walk(n + 1)
-                    used.discard(j)
-                    open_pos.insert(idx, pos)
-            return total
-
-        return walk(0)
-
-    for limit in range(1, max_order + 1):
-        yield count_at(limit)
+    """Level counts from one depth-first pass; all arrive when it ends."""
+    yield from _count_below((_ROOT, max_order))
 
 
 def _iter_counts_levels(max_order: int) -> Iterator[int]:
@@ -184,129 +277,37 @@ def iter_level_states(max_order: int) -> Iterator[list[OpenState]]:
 # pruning
 
 def prune_feasible(state: OpenState, target_order: int) -> bool:
-    """Sound filter: False only if no descendant of ``state`` at length
-    2*target_order can be a Skolem sequence of that order.
-
-    Tests, each individually sound:
-      * room and parity: closing the p open arcs and pairing up whatever
-        positions remain needs 2N - n - p >= 0 and even;
-      * every used length must lie in 1..N;
-      * no open value may exceed N;
-      * the open values, which must eventually close at distinct unused
-        lengths no smaller than their current value, must match injectively
-        into {1..N} minus the used set (greedy largest-to-largest check).
-    """
+    """Sound filter (the tests are ``_feasible``'s): False only if no descendant
+    of ``state`` at length 2*target_order can be a Skolem sequence."""
     _require_order(target_order)
-    n = state.order
-    stars = sorted(state.open_values(), reverse=True)
-    p = len(stars)
-    rem = 2 * target_order - n - p
-    if rem < 0 or rem % 2:
-        return False
-    used = state.used
-    if used and max(used) > target_order:
-        return False
-    if stars and stars[0] > target_order:
-        return False
-    avail = target_order
-    for j in stars:
-        while avail and avail in used:
-            avail -= 1
-        if avail < j:
-            return False
-        avail -= 1
-    return True
+    open_mask = sum(1 << k for k in state.open_values())
+    used_mask = sum(1 << k for k in state.used)
+    return _feasible(state.order, open_mask, used_mask, target_order)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _leaf_walk(
-    entries: list[int],
-    target_order: int,
-    prune: bool,
+def _leaves(
+    seed: _Seed,
+    prefix: tuple[int, ...],
+    order: int,
     visits: list[int],
-    pruned_cell: list[int],
-    progress_cell: list[int],
+    cut: list[int] | None,
 ) -> Iterator[tuple[int, ...]]:
-    """Depth-first walk from ``entries`` (0 marks an open arc) to length
-    2*target_order, yielding Skolem leaves in canonical child order.
-
-    ``visits[n]`` counts nodes entered at length n, including nodes that the
-    feasibility filter then refuses to expand (those also bump
-    ``pruned_cell[0]``).  The walk mutates its state in place and undoes
-    every step, so a single entries/positions/used triple serves the whole
-    traversal.
-    """
-    two_n = 2 * target_order
-    target = target_order
-    open_pos = [i for i, v in enumerate(entries) if v == 0]
-    used = {v for v in entries if v}
-
-    def walk(n: int, used_max: int) -> Iterator[tuple[int, ...]]:
-        visits[n] += 1
-        t = progress_cell[0] + 1
-        progress_cell[0] = t
-        if not t % PROGRESS_INTERVAL:
-            print(
-                f"skolemgen: visited {t} nodes (currently at level {n} of {two_n})",
-                file=sys.stderr,
-            )
-        if n == two_n:
-            # p = 2N - 2|used| here, so |used| = N already implies no open
-            # arcs remain; with max = N the used lengths are exactly 1..N.
-            if len(used) == target and used_max == target:
-                yield tuple(entries)
-            return
-        if prune:
-            p = len(open_pos)
-            rem = two_n - n - p
-            if rem < 0 or rem & 1 or used_max > target:
-                pruned_cell[0] += 1
-                return
-            if p and n - open_pos[0] > target:
-                pruned_cell[0] += 1
-                return
-            avail = target
-            for pos in open_pos:
-                j = n - pos
-                while avail and avail in used:
-                    avail -= 1
-                if avail < j:
-                    pruned_cell[0] += 1
-                    return
-                avail -= 1
-        # opener child first,
-        entries.append(0)
-        open_pos.append(n)
-        yield from walk(n + 1, used_max)
-        open_pos.pop()
-        entries.pop()
-        # then closers by increasing open value (decreasing position).
-        for idx in range(len(open_pos) - 1, -1, -1):
-            pos = open_pos[idx]
-            j = n - pos
-            if j in used:
-                continue
-            del open_pos[idx]
-            entries[pos] = j
-            entries.append(j)
-            used.add(j)
-            yield from walk(n + 1, used_max if used_max >= j else j)
-            used.discard(j)
-            entries.pop()
-            entries[pos] = 0
-            open_pos.insert(idx, pos)
-
-    yield from walk(len(entries), max(used, default=0))
+    """Values of every Skolem leaf below ``seed``, whose entries are
+    ``prefix``, in canonical order; ``cut`` as for ``_walk``."""
+    ent = list(prefix) + [0] * (2 * order - len(prefix))
+    for _ in _walk(ent, seed, visits, _lengths(order), cut):
+        yield tuple(ent)
 
 
 def enumerate_skolem(order: int, prune: bool = True) -> Iterator[SkolemSequence]:
     """Stream every Skolem sequence of the given order exactly once, in
     canonical child order.  Pruning never changes the emitted set."""
     _require_order(order)
-    visits = [0] * (2 * order + 1)
-    for vals in _leaf_walk([], order, prune, visits, [0], [0]):
+    cut = [0] if prune else None
+    for vals in _leaves(_ROOT, (), order, [0] * (2 * order + 1), cut):
         yield SkolemSequence(vals)
 
 
@@ -322,10 +323,10 @@ def dfs_enumerate(
     """
     _require_order(target_order)
     visits = [0] * (2 * target_order + 1)
-    pruned = [0]
+    cut = [0] if prune else None
     count = 0
     t0 = time.perf_counter()
-    for vals in _leaf_walk([], target_order, prune, visits, pruned, [0]):
+    for vals in _leaves(_ROOT, (), target_order, visits, cut):
         seq = SkolemSequence(vals)
         count += 1
         if sink is not None:
@@ -334,61 +335,13 @@ def dfs_enumerate(
         target_order=target_order,
         per_level_counts=visits[1:],
         skolem_count=count,
-        pruned_nodes=pruned[0],
+        pruned_nodes=cut[0] if cut else 0,
         elapsed=time.perf_counter() - t0,
     )
 
 
 # ---------------------------------------------------------------------------
 # parallel traversal
-#
-# Subtrees rooted at a fixed split depth are independent, so workers share
-# nothing and per-level counts merge by elementwise addition: results are
-# identical for any worker count and any scheduling.
-
-def _next_compressed_level(
-    level: dict[tuple[tuple[int, ...], frozenset[int]], int],
-) -> dict[tuple[tuple[int, ...], frozenset[int]], int]:
-    nxt: dict[tuple[tuple[int, ...], frozenset[int]], int] = {}
-    get = nxt.get
-    for (stars, used), mult in level.items():
-        key = ((1,) + tuple(k + 1 for k in stars), used)
-        nxt[key] = get(key, 0) + mult
-        for j in stars:
-            if j not in used:
-                key = (tuple(k + 1 for k in stars if k != j), used | {j})
-                nxt[key] = get(key, 0) + mult
-    return nxt
-
-
-def _count_subtree(job: tuple[tuple[int, ...], tuple[int, ...], int, int, int]) -> list[int]:
-    """Count nodes per level below one compressed seed; scaled by multiplicity."""
-    stars, used_t, mult, depth, max_order = job
-    open_pos = sorted(depth - k for k in stars)
-    used = set(used_t)
-    counts = [0] * (max_order - depth)
-
-    def walk(n: int) -> None:
-        if n > depth:
-            counts[n - depth - 1] += 1
-            if n == max_order:
-                return
-        open_pos.append(n)
-        walk(n + 1)
-        open_pos.pop()
-        for idx in range(len(open_pos) - 1, -1, -1):
-            pos = open_pos[idx]
-            j = n - pos
-            if j not in used:
-                del open_pos[idx]
-                used.add(j)
-                walk(n + 1)
-                used.discard(j)
-                open_pos.insert(idx, pos)
-
-    walk(depth)
-    return [c * mult for c in counts]
-
 
 def parallel_count(max_order: int, workers: int = 1) -> list[int]:
     """count_open_levels with the tree split across worker processes.
@@ -402,53 +355,22 @@ def parallel_count(max_order: int, workers: int = 1) -> list[int]:
     if workers == 1:
         return count_open_levels(max_order)
 
-    threshold = 4 * workers
-    prefix: list[int] = []
-    level: dict[tuple[tuple[int, ...], frozenset[int]], int] = {
-        ((), frozenset()): 1
-    }
-    depth = 0
-    while depth < max_order:
-        level = _next_compressed_level(level)
-        depth += 1
-        prefix.append(sum(level.values()))
-        if prefix[-1] >= threshold and depth < max_order:
-            break
-    if depth == max_order:
+    prefix, seeds = _split(max_order, workers)
+    if len(prefix) == max_order:
         return prefix
-
-    jobs = [
-        (stars, tuple(sorted(used)), mult, depth, max_order)
-        for (stars, used), mult in sorted(
-            level.items(), key=lambda kv: (kv[0][0], tuple(sorted(kv[0][1])))
-        )
-    ]
-    tail = [0] * (max_order - depth)
+    tail = [0] * (max_order - len(prefix))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for res in pool.map(_count_subtree, jobs):
+        for res in pool.map(_count_below, [(seed, max_order) for seed, _ in seeds]):
             tail = [a + b for a, b in zip(tail, res)]
     return prefix + tail
 
 
-def _int_children(ent: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Children of an integer-encoded state (0 = open), canonical order."""
-    n = len(ent)
-    out = [ent + (0,)]
-    used = {v for v in ent if v}
-    for p in range(n - 1, -1, -1):
-        if ent[p]:
-            continue
-        j = n - p
-        if j in used:
-            continue
-        out.append(ent[:p] + (j,) + ent[p + 1 :] + (j,))
-    return out
-
-
-def _enumerate_subtree(job: tuple[tuple[int, ...], int, bool]) -> list[tuple[int, ...]]:
-    ent, target, prune = job
-    visits = [0] * (2 * target + 1)
-    return list(_leaf_walk(list(ent), target, prune, visits, [0], [0]))
+def _enumerate_subtree(
+    job: tuple[_Seed, tuple[int, ...], int, bool],
+) -> list[tuple[int, ...]]:
+    seed, prefix, order, prune = job
+    cut = [0] if prune else None
+    return list(_leaves(seed, prefix, order, [0] * (2 * order + 1), cut))
 
 
 def parallel_enumerate(
@@ -466,17 +388,12 @@ def parallel_enumerate(
         yield from enumerate_skolem(order, prune)
         return
 
-    threshold = 4 * workers
-    level: list[tuple[int, ...]] = [()]
-    depth = 0
-    while depth < 2 * order and len(level) < threshold:
-        level = [child for ent in level for child in _int_children(ent)]
-        depth += 1
-    if depth >= 2 * order:
+    prefix, seeds = _split(2 * order, workers)
+    if len(prefix) == 2 * order:
         yield from enumerate_skolem(order, prune)
         return
 
-    jobs = [(ent, order, prune) for ent in level]
+    jobs = [(seed, ent, order, prune) for seed, ent in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for leaves in pool.map(_enumerate_subtree, jobs):
             for vals in leaves:

@@ -1,8 +1,13 @@
 """Command-line front end: output formats, exit codes, determinism, and the
 arc-diagram renderer."""
 
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +328,85 @@ def test_record_round_trips():
 def test_record_ndjson_shape():
     rec = cli.OutputRecord.for_sequence(SkolemSequence((1, 1)))
     assert json.loads(rec.ndjson()) == {"order": 1, "values": [1, 1]}
+
+
+# ---------------------------------------------------------------------------
+# entry-point bounds
+
+# int() takes each of these; the grammar allows ASCII digits only
+LENIENT_TOKENS = ["\u0663", "1_0", "+2", "*+3"]
+
+
+@pytest.mark.parametrize("token", LENIENT_TOKENS)
+def test_verify_rejects_non_ascii_digit_tokens(monkeypatch, capsys, token):
+    _feed(monkeypatch, f"{token},4,2,3,2,4,1,1\n")
+    assert run(["verify"]) == 5
+    assert capsys.readouterr().out == f"FAIL parse: bad token {token!r}\n"
+
+
+@pytest.mark.parametrize("token", LENIENT_TOKENS)
+def test_sts_rejects_non_ascii_digit_tokens(capsys, token):
+    assert run(["sts", "--sequence", f"{token},4,2,3,2,4,1,1"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"parse: bad token {token!r}" in captured.err
+
+
+def test_sts_sequence_strips_whitespace_and_rejects_open_arcs(capsys):
+    assert run(["sts", "--sequence", " 3, 4 ,2,3,2,4,1,1 "]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "VERIFIED"
+    assert run(["sts", "--sequence", "*2,*1"]) == 5
+    assert "open" in capsys.readouterr().err
+
+
+def _cli_process(argv, stdin):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "skolemgen.cli", *argv],
+        stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--order", "9"], ["verify"]])
+def test_closed_pipe_is_a_normal_exit(tmp_path, argv):
+    # both commands print well over a pipe buffer, so closing the read end
+    # after one line makes a later write fail with EPIPE
+    lines = [str(s) for s in enumerate_skolem(8)] * 40
+    source = tmp_path / "in.txt"
+    source.write_text("\n".join(lines) + "\n")
+    with open(source) as stdin:
+        proc = _cli_process(argv, stdin)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+    assert first.strip()
+    assert code == 0
+    assert err == b""
+
+
+def test_count_open_into_closed_pipe_is_a_normal_exit(monkeypatch, capsys):
+    # count-open prints too little to outrun a reader, so close the read end
+    # before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert cli.main(["count-open", "--max-n", "5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_worker_count_is_capped_at_available_cpus(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("SKOLEMGEN_WORKERS", raising=False)
+    assert cli._resolve_workers(argparse.Namespace(workers=64)) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    monkeypatch.setenv("SKOLEMGEN_WORKERS", "64")
+    assert cli._resolve_workers(argparse.Namespace(workers=None)) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert cli._resolve_workers(argparse.Namespace(workers=2)) == 2
+    assert cli._resolve_workers(argparse.Namespace(workers=1)) == 1
+    assert capsys.readouterr().err == ""

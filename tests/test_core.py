@@ -19,9 +19,12 @@ from skolemgen.core import (
     parse_entries,
     parse_state,
     reverse,
+    skolem_violation,
     state_from_sequence,
     validate_skolem,
 )
+from skolemgen.engine import enumerate_skolem
+from skolemgen.oracle import oracle_validate
 
 
 def states(*texts):
@@ -230,3 +233,68 @@ def test_parent_of_reachable_state(s):
         return
     p = parent(s)
     assert s in children(p)
+
+
+# ---------------------------------------------------------------------------
+# the validator's reasons
+
+# (input, first reason), frozen from the quadratic validator this one replaced
+VIOLATION_REASONS = [
+    ((), "empty: a Skolem sequence has order at least 1"),
+    ((1,), "length: odd length 1"),
+    ((1, 1, 2, 3, 2), "length: odd length 5"),
+    ((1, 1), None),
+    ((True, 1), None),
+    ((3, 4, 2, 3, 2, 4, 1, 1), None),
+    ((0, 0), "value: entry 0 at position 1 is not a positive integer"),
+    ((1, -1), "value: entry -1 at position 2 is not a positive integer"),
+    ((1, 1, 2, 2.0), "value: entry 2.0 at position 4 is not a positive integer"),
+    ((2, 2, "x", 1), "value: entry 'x' at position 3 is not a positive integer"),
+    ((1, 2, 1, 2, 0, 5), "value: entry 0 at position 5 is not a positive integer"),
+    ((1, 1, 1, 1), "count: value 1 appears 4 times, expected exactly 2"),
+    ((2, 1, 2, 1, 2, 1), "count: value 1 appears 3 times, expected exactly 2"),
+    ((4, 4, 1, 1), "count: value 2 appears 0 times, expected exactly 2"),
+    ((9, 1, 1, 9), "count: value 2 appears 0 times, expected exactly 2"),
+    ((1, 1, 2, 2), "gap: value 2 sits at positions 3 and 4 (gap 1, expected 2)"),
+    ((2, 1, 1, 2), "gap: value 2 sits at positions 1 and 4 (gap 3, expected 2)"),
+    ((1, 2, 1, 2, 3, 3), "gap: value 1 sits at positions 1 and 3 (gap 2, expected 1)"),
+    ((3, 1, 1, 3, 2, 2), "gap: value 2 sits at positions 5 and 6 (gap 1, expected 2)"),
+    ((2, 3, 2, 4, 3, 4, 1, 1), "gap: value 4 sits at positions 4 and 6 (gap 2, expected 4)"),
+]
+
+
+@pytest.mark.parametrize("values, reason", VIOLATION_REASONS)
+def test_violation_reason_strings(values, reason):
+    assert skolem_violation(values) == reason
+
+
+ORDER8 = [s.values for s in enumerate_skolem(8)]
+REASON_TAGS = ("empty:", "length:", "value:", "count:", "gap:")
+
+
+def _agrees_with_oracle(vals):
+    reason = skolem_violation(vals)
+    assert (reason is None) == oracle_validate(vals)
+    assert reason is None or reason.startswith(REASON_TAGS)
+
+
+@given(st.lists(st.integers(-1, 25), max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_violation_agrees_with_oracle_on_arbitrary_input(vals):
+    _agrees_with_oracle(vals)
+
+
+@given(
+    st.sampled_from(ORDER8),
+    st.integers(0, 15),
+    st.integers(0, 15),
+    st.one_of(st.none(), st.tuples(st.integers(0, 15), st.integers(-1, 17))),
+)
+@settings(max_examples=500, deadline=None)
+def test_violation_agrees_with_oracle_on_edited_sequences(seq, i, j, overwrite):
+    vals = list(seq)
+    vals[i], vals[j] = vals[j], vals[i]
+    if overwrite is not None:
+        pos, value = overwrite
+        vals[pos] = value
+    _agrees_with_oracle(vals)

@@ -295,3 +295,32 @@ def test_report_summary_shape():
     text = r.summary()
     assert "target order 2" in text
     assert "4! = 24" in text
+
+
+# ---------------------------------------------------------------------------
+# frozen search figures: the pruned walk visits and cuts exactly these nodes
+
+ORDER9_VISITS = [
+    1, 2, 4, 8, 20, 52, 146, 430, 1306, 4176,
+    7190, 12139, 19087, 27284, 34986, 35136, 24274, 11740,
+]
+
+
+def test_pruned_walk_figures_order8():
+    r = dfs_enumerate(8)
+    assert sum(r.per_level_counts) == 29752
+    assert r.pruned_nodes == 12182
+    assert r.skolem_count == 504
+
+
+def test_pruned_walk_figures_order9():
+    r = dfs_enumerate(9)
+    assert r.per_level_counts == ORDER9_VISITS
+    assert sum(r.per_level_counts) == 177981
+    assert r.pruned_nodes == 73360
+    assert r.skolem_count == 2656
+
+
+def test_parallel_enumeration_order8_in_canonical_order():
+    sequential = [s.values for s in enumerate_skolem(8)]
+    assert [s.values for s in parallel_enumerate(8, True, 2)] == sequential
