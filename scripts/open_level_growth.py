@@ -3,7 +3,7 @@
 
 The per-order counts of open Skolem sequences grow by a factor settling
 around 3.7-3.8; this script prints the exact counts, the ratios, and the
-running time per level, so a regression in either the walker or its
+time the whole count took, so a regression in either the walker or its
 asymptotics is visible at a glance.
 
     python3 scripts/open_level_growth.py --max-n 15
@@ -23,20 +23,20 @@ def main(argv=None) -> int:
         "--method",
         choices=("dfs", "levels"),
         default="dfs",
-        help="depth-first recount per level (default) or one level-synchronised sweep",
+        help="one depth-first pass (default) or a level-synchronised sweep",
     )
     args = ap.parse_args(argv)
     if args.max_n < 1:
         ap.error("--max-n must be >= 1")
 
-    print(f"{'n':>3} {'count':>12} {'ratio':>7} {'sec':>8}")
+    print(f"{'n':>3} {'count':>12} {'ratio':>7}")
     prev = None
     t_start = time.perf_counter()
     for n, count in enumerate(iter_open_counts(args.max_n, method=args.method), start=1):
-        now = time.perf_counter()
         ratio = f"{count / prev:.3f}" if prev else "-"
-        print(f"{n:>3} {count:>12} {ratio:>7} {now - t_start:>8.2f}")
+        print(f"{n:>3} {count:>12} {ratio:>7}")
         prev = count
+    print(f"total {time.perf_counter() - t_start:.2f} s")
     return 0
 
 

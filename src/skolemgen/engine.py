@@ -18,6 +18,13 @@ one buffer.  The same walk counts levels, enumerates with or without
 pruning, and runs the subtrees of worker processes; ``_iter_counts_levels``
 and ``iter_level_states`` recount the tree by other means, as cross-checks.
 
+A node's state fixes how many children it has: the opener plus one closer
+per open value whose length is unused, ``1 + popcount(O & ~U)``.  So a count
+does not walk the last two levels: a node two levels short of the target
+adds its children, and the sum of their child counts, from popcounts of its
+own masks, and is not expanded.  Enumeration and the split still enter every
+node, because they need each node's entries or state.
+
 Pruning against a target order N cuts subtrees that cannot reach a Skolem
 leaf: length/parity bookkeeping, used lengths within 1..N, and a greedy
 matching of open values into the unused lengths.  Each test is individually
@@ -29,8 +36,10 @@ from __future__ import annotations
 import math
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator
 
 from .core import OpenState, SkolemSequence, children
@@ -128,11 +137,16 @@ def _walk(
     """Depth-first walk from ``seed`` = (n, O, U) to length ``len(ent)``.
 
     Children are popped in canonical order: the opener, then the closers by
-    increasing j.  ``visits[m]`` counts the nodes entered at length m.  With
-    ``cut`` given, a node short of full length that fails ``_feasible``
-    against order ``len(ent) // 2`` is counted in ``cut[0]`` and not
-    expanded.  At full length the walk yields (O, U) for every node whose
-    used mask contains ``goal``: 0 takes every node, None none.
+    increasing j.  ``visits[m]`` counts the nodes at length m.  With ``cut``
+    given, a node short of full length that fails ``_feasible`` against order
+    ``len(ent) // 2`` is counted in ``cut[0]`` and not expanded.  At full
+    length the walk yields (O, U) for every node whose used mask contains
+    ``goal``: 0 takes every node.  With ``goal`` None the walk only counts:
+    it yields nothing, takes no ``cut`` and needs a seed short of full
+    length.  A node two levels short, or a seed one level short, adds the
+    nodes of the last levels below it to ``visits`` from popcounts and is not
+    expanded, so the progress heartbeat counts only the nodes entered above
+    them.
 
     ``ent[:n]`` holds the seed's entries.  Closing ``*j`` writes both ends of
     its arc, so at each yield ``ent`` holds the node's closed entries; those
@@ -140,6 +154,7 @@ def _walk(
     """
     depth = len(ent)
     order = depth // 2
+    stop = depth if goal is not None else depth - 2
     beat = PROGRESS_INTERVAL
     t = 0
     stack = [(*seed, 0)]  # (n, O, U, j): j > 0 when the node closed *j
@@ -156,9 +171,23 @@ def _walk(
                 file=sys.stderr,
             )
             beat += PROGRESS_INTERVAL
-        if n == depth:
-            if goal is not None and U & goal == goal:
-                yield O, U
+        if n >= stop:
+            if goal is not None:  # full length
+                if U & goal == goal:
+                    yield O, U
+                continue
+            # a count: the last two levels from popcounts
+            closable = O & ~U
+            if n == stop:
+                visits[n + 1] += 1 + closable.bit_count()
+                s = 1 + ((O << 1 | 2) & ~U).bit_count()
+                while closable:
+                    b = closable & -closable
+                    closable ^= b
+                    s += 1 + ((O ^ b) << 1 & ~(U | b)).bit_count()
+                visits[depth] += s
+            else:
+                visits[depth] += 1 + closable.bit_count()
             continue
         if cut is not None and not _feasible(n, O, U, order):
             cut[0] += 1
@@ -379,7 +408,9 @@ def parallel_enumerate(
     """enumerate_skolem with subtrees distributed across worker processes.
 
     The emitted multiset is identical to the sequential walk; results are
-    yielded subtree by subtree in canonical seed order.
+    yielded subtree by subtree in canonical seed order.  Closing the
+    generator, or an error in it, cancels the subtrees still pending and
+    waits only for those already handed to the worker processes.
     """
     _require_order(order)
     if workers < 1:
@@ -393,8 +424,18 @@ def parallel_enumerate(
         yield from enumerate_skolem(order, prune)
         return
 
-    jobs = [(seed, ent, order, prune) for seed, ent in seeds]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for leaves in pool.map(_enumerate_subtree, jobs):
+    # At most 4x workers subtrees (the split's target) run ahead of the
+    # reader; if it stops, the rest are never submitted.
+    jobs = ((seed, ent, order, prune) for seed, ent in seeds)
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        window = deque(
+            pool.submit(_enumerate_subtree, job) for job in islice(jobs, 4 * workers)
+        )
+        while window:
+            leaves = window.popleft().result()
+            window.extend(pool.submit(_enumerate_subtree, job) for job in islice(jobs, 1))
             for vals in leaves:
                 yield SkolemSequence(vals)
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -1,6 +1,8 @@
 """Tree traversal: counting cross-checks, enumeration order, pruning
 soundness, parallel determinism, and resource-failure plumbing."""
 
+import sys
+
 import pytest
 
 from skolemgen import engine
@@ -52,6 +54,29 @@ def test_full_state_levels_agree_with_compressed_counts():
 def test_streaming_counts_prefix():
     stream = iter_open_counts(6)
     assert [next(stream) for _ in range(3)] == [1, 2, 4]
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_counts_with_closed_form_tail_match_full_states(workers):
+    # the split puts seeds one or two levels short of some of these targets
+    for m in range(1, 9):
+        sizes = [len(level) for level in iter_level_states(m)]
+        assert count_open_levels(m) == sizes
+        assert parallel_count(m, workers) == sizes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_counts_match_an_enumeration_walk_that_enters_every_level(k):
+    assert count_open_levels(2 * k) == dfs_enumerate(k, prune=False).per_level_counts
+
+
+def test_counting_walk_enters_no_node_of_the_last_two_levels(monkeypatch, capsys):
+    # one heartbeat per node entered: the root and levels 1..6 of 8
+    monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 1)
+    count_open_levels(8)
+    beats = capsys.readouterr().err.splitlines()
+    assert len(beats) == 1 + sum(OPEN_COUNTS_12[:6]) == 88
+    assert all("visited" in line for line in beats)
 
 
 def test_counting_argument_errors():
@@ -278,6 +303,29 @@ def test_parallel_enumeration_unpruned():
     assert {s.values for s in parallel_enumerate(4, False, 2)} == {
         s.values for s in oracle_enumerate(4)
     }
+
+
+_JOB_LOG = None  # a file each subtree job appends a line to
+
+
+def _logged_subtree(job, _run=engine._enumerate_subtree):
+    with open(_JOB_LOG, "a") as fh:
+        fh.write("job\n")
+    return _run(job)
+
+
+def test_closing_parallel_enumeration_drops_unstarted_subtrees(monkeypatch, tmp_path):
+    # forked workers inherit both patches
+    monkeypatch.setattr(sys.modules[__name__], "_JOB_LOG", tmp_path / "jobs")
+    monkeypatch.setattr(engine, "_enumerate_subtree", _logged_subtree)
+    workers = 3
+    seeds = len(engine._split(16, workers)[1])
+    stream = parallel_enumerate(8, True, workers)
+    assert next(stream).values == next(enumerate_skolem(8)).values
+    stream.close()
+    ran = len((tmp_path / "jobs").read_text().splitlines())
+    # 4x workers subtrees submitted up front, and one more once the first is read
+    assert 1 <= ran <= 4 * workers + 1 < seeds
 
 
 def test_parallel_argument_errors():
