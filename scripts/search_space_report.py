@@ -3,8 +3,8 @@
 
 For a target order N the script runs the exhaustive walk twice -- with and
 without feasibility pruning -- and prints per-level visit counts, the number
-of Skolem sequences found, and how both compare to the (2N)! permutation
-space a naive scan would face.
+of Skolem sequences found, the cut ratio (subtrees cut / nodes visited), and
+how both compare to the (2N)! permutation space a naive scan would face.
 
     python3 scripts/search_space_report.py --order 8
 """
@@ -39,8 +39,8 @@ def main(argv=None) -> int:
         total = sum(report.per_level_counts)
         print(
             f"{name}: {report.skolem_count} sequences, "
-            f"{total} nodes visited, {report.pruned_nodes} subtrees cut, "
-            f"{report.elapsed:.2f}s"
+            f"{total} nodes visited, {report.pruned_nodes} subtrees cut "
+            f"(cut ratio {report.pruned_nodes / total:.4f}), {report.elapsed:.2f}s"
         )
     if "unpruned" in runs:
         full = runs["unpruned"]

@@ -89,9 +89,9 @@ class OutputRecord:
     def ndjson(self) -> str:
         """One-line JSON form; sequences use the {"order","values"} shape."""
         if self.kind == "skolem":
-            return json.dumps(
-                {"order": self.order, "values": [int(t) for t in self.payload.split(",")]}
-            )
+            # the payload is the values joined by "," (``for_sequence``); this
+            # is json.dumps's text for the same dict, without re-parsing it
+            return f'{{"order": {self.order}, "values": [{self.payload.replace(",", ", ")}]}}'
         return json.dumps({"kind": self.kind, "order": self.order, "payload": self.payload})
 
 

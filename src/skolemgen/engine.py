@@ -26,9 +26,21 @@ own masks, and is not expanded.  Enumeration and the split still enter every
 node, because they need each node's entries or state.
 
 Pruning against a target order N cuts subtrees that cannot reach a Skolem
-leaf: length/parity bookkeeping, used lengths within 1..N, and a greedy
-matching of open values into the unused lengths.  Each test is individually
-sound, so pruned and unpruned enumeration emit the same sequences.
+leaf: length/parity bookkeeping, used lengths within 1..N, a greedy matching
+of open values into the unused lengths, and a forced-length test.  An open
+value *v grows by one per position, so with R = 2N - n positions left it can
+still close at any length in v..v+R-1; a new arc fits in R positions, so its
+length is at most R-1.  An unused length r >= R can therefore only be taken
+by an open arc with v in r-R+1..r, and distinct such lengths need distinct
+arcs: the k-th largest of them needs k open values >= its r-R+1.  Each test
+is individually sound, so pruned and unpruned enumeration emit the same
+sequences.
+
+Some children fail the test already at their parent, and the pruned walk
+counts them as visited and cut without building them.  When no unused
+length exceeds the top open value *h, every child but "close *h" carries
+*h+1, which has no unused length left to close at.  When the open arcs fill
+the remaining positions, the opener leaves one arc too many.
 """
 
 from __future__ import annotations
@@ -111,12 +123,26 @@ def _feasible(n: int, O: int, U: int, order: int) -> bool:
       * the open values, which must eventually close at distinct unused
         lengths no smaller than their current value, must match injectively
         into {1..N} minus the used set: the k-th largest open value needs
-        k unused lengths at or above it (the greedy largest-to-largest check).
+        k unused lengths at or above it (the greedy largest-to-largest check);
+      * forced lengths: with R = 2N - n positions left, a new arc is at most
+        R-1 long, so an unused length r >= R must be taken by an open value
+        in r-R+1..r (it grows by one per position, up to v+R-1), a distinct
+        one per length: the k-th largest unused r >= R needs k open values
+        >= r-R+1 (Hall's condition on the largest k such lengths).
     """
-    rem = 2 * order - n - O.bit_count()
+    R = 2 * order - n
+    rem = R - O.bit_count()
     if rem < 0 or rem & 1 or (O | U) >> (order + 1):
         return False
-    free = ~U & _lengths(order)
+    free = ~U & ((2 << order) - 2)  # _lengths(order), without a call per node
+    F = free >> R  # bit i: the unused length i + R, too long for a new arc
+    k = 0
+    while F:
+        i = F.bit_length() - 1
+        F ^= 1 << i
+        k += 1
+        if (O >> (i + 1)).bit_count() < k:
+            return False
     k = 0
     while O:
         j = O.bit_length() - 1
@@ -139,9 +165,12 @@ def _walk(
     Children are popped in canonical order: the opener, then the closers by
     increasing j.  ``visits[m]`` counts the nodes at length m.  With ``cut``
     given, a node short of full length that fails ``_feasible`` against order
-    ``len(ent) // 2`` is counted in ``cut[0]`` and not expanded.  At full
-    length the walk yields (O, U) for every node whose used mask contains
-    ``goal``: 0 takes every node.  With ``goal`` None the walk only counts:
+    ``len(ent) // 2`` is counted in ``cut[0]`` and not expanded; children
+    that a node's masks show would fail it (see the module docstring) are
+    added to ``visits`` and ``cut[0]`` at the node, without being built or
+    counted by the progress heartbeat.  At full length the walk yields
+    (O, U) for every node whose used mask contains ``goal``: 0 takes every
+    node.  With ``goal`` None the walk only counts:
     it yields nothing, takes no ``cut`` and needs a seed short of full
     length.  A node two levels short, or a seed one level short, adds the
     nodes of the last levels below it to ``visits`` from popcounts and is not
@@ -154,6 +183,7 @@ def _walk(
     """
     depth = len(ent)
     order = depth // 2
+    full = _lengths(order)
     stop = depth if goal is not None else depth - 2
     beat = PROGRESS_INTERVAL
     t = 0
@@ -189,9 +219,35 @@ def _walk(
             else:
                 visits[depth] += 1 + closable.bit_count()
             continue
-        if cut is not None and not _feasible(n, O, U, order):
-            cut[0] += 1
-            continue
+        if cut is not None:
+            if not _feasible(n, O, U, order):
+                cut[0] += 1
+                continue
+            if n + 1 < depth:
+                # Children known here to fail _feasible are counted as
+                # visited and cut, and never built.
+                h = O.bit_length() - 1
+                if not (~U & full) >> (h + 1):
+                    # No unused length exceeds the top value *h: every child
+                    # but "close *h" leaves a value *h+1 with nowhere to close.
+                    skipped = (O & ~U).bit_count()
+                    visits[n + 1] += skipped
+                    cut[0] += skipped
+                    b = 1 << h
+                    push((n + 1, (O ^ b) << 1, U | b, h))
+                    continue
+                if depth - n == O.bit_count():
+                    # The open arcs fill the remaining positions: no opener.
+                    visits[n + 1] += 1
+                    cut[0] += 1
+                    n += 1
+                    closable = O & ~U
+                    while closable:
+                        j = closable.bit_length() - 1
+                        b = 1 << j
+                        closable ^= b
+                        push((n, (O ^ b) << 1, U | b, j))
+                    continue
         n += 1
         # The stack pops last-pushed first: closers by decreasing j, then the opener.
         closable = O & ~U

@@ -330,6 +330,13 @@ def test_record_ndjson_shape():
     assert json.loads(rec.ndjson()) == {"order": 1, "values": [1, 1]}
 
 
+def test_record_ndjson_is_json_dumps_text():
+    for order in range(1, 10):
+        for seq in enumerate_skolem(order):
+            expected = json.dumps({"order": order, "values": list(seq.values)})
+            assert cli.OutputRecord.for_sequence(seq).ndjson() == expected
+
+
 # ---------------------------------------------------------------------------
 # entry-point bounds
 

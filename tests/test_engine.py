@@ -274,6 +274,38 @@ def test_prune_rejections_are_sound_for_order4():
     assert rejected > 0
 
 
+def test_prune_forced_length_cut():
+    # four positions remain, so a new arc spans at most 3: the unused length
+    # 4 needs an open arc, and none is open
+    assert not prune_feasible(parse_state("3,1,1,3"), 4)
+    assert prune_feasible(parse_state("3,1,1,3"), 5)
+    # three positions remain: the unused lengths 3 and 4 both need an open
+    # arc, and only *2 is open
+    assert not prune_feasible(parse_state("1,1,2,*2,2"), 4)
+
+
+def _unpruned_nodes_short_of_full_length(order):
+    """Every distinct node (n, O, U) the unpruned walk enters below 2*order."""
+    nodes = set()
+    for n in range(2 * order):
+        walk = engine._walk([0] * n, engine._ROOT, [0] * (n + 1), goal=0)
+        nodes.update((n, O, U) for O, U in walk)
+    return nodes
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_every_node_the_prune_rejects_has_no_skolem_leaf_below(order):
+    depth = 2 * order
+    rejected = [
+        node for node in _unpruned_nodes_short_of_full_length(order)
+        if not engine._feasible(*node, order)
+    ]
+    for node in rejected:
+        below = engine._walk([0] * depth, node, [0] * (depth + 1), engine._lengths(order))
+        assert next(below, None) is None, node
+    assert rejected or order == 1
+
+
 def test_prune_rejects_bad_target():
     with pytest.raises(ValueError):
         prune_feasible(EMPTY_STATE, 0)
@@ -346,27 +378,63 @@ def test_report_summary_shape():
 
 
 # ---------------------------------------------------------------------------
-# frozen search figures: the pruned walk visits and cuts exactly these nodes
+# frozen search figures: the pruned walk visits and cuts exactly these nodes.
+# The *_BEFORE lists are the figures from before the forced-length cut in
+# ``_feasible``; a sound extra cut may only lower a level's visits.
 
-ORDER9_VISITS = [
+ORDER8_VISITS_BEFORE = [
+    1, 2, 4, 8, 20, 52, 146, 430, 1306, 2036, 3224, 4469, 5802, 5876, 4204, 2172,
+]
+ORDER8_VISITS = [
+    1, 2, 4, 8, 20, 52, 146, 430, 1277, 1856, 2734, 3301, 3344, 1972, 956, 1008,
+]
+ORDER9_VISITS_BEFORE = [
     1, 2, 4, 8, 20, 52, 146, 430, 1306, 4176,
     7190, 12139, 19087, 27284, 34986, 35136, 24274, 11740,
+]
+ORDER9_VISITS = [
+    1, 2, 4, 8, 20, 52, 146, 430, 1306, 4176,
+    7045, 10787, 14783, 17901, 16628, 9770, 5012, 5312,
 ]
 
 
 def test_pruned_walk_figures_order8():
     r = dfs_enumerate(8)
-    assert sum(r.per_level_counts) == 29752
-    assert r.pruned_nodes == 12182
+    assert r.per_level_counts == ORDER8_VISITS
+    assert all(a <= b for a, b in zip(ORDER8_VISITS, ORDER8_VISITS_BEFORE, strict=True))
+    assert sum(r.per_level_counts) == 17111  # 29752 before
+    assert r.pruned_nodes == 9398  # 12182 before
     assert r.skolem_count == 504
 
 
 def test_pruned_walk_figures_order9():
     r = dfs_enumerate(9)
     assert r.per_level_counts == ORDER9_VISITS
-    assert sum(r.per_level_counts) == 177981
-    assert r.pruned_nodes == 73360
+    assert all(a <= b for a, b in zip(ORDER9_VISITS, ORDER9_VISITS_BEFORE, strict=True))
+    assert sum(r.per_level_counts) == 93383  # 177981 before
+    assert r.pruned_nodes == 51659  # 73360 before
     assert r.skolem_count == 2656
+
+
+def _swept_pruned_figures(order):
+    """Per-level visits, cut count and Skolem leaves of the pruned walk, by a
+    level sweep over ``core.children`` that tests every node short of full
+    length with ``prune_feasible``; it shares no code with ``engine._walk``."""
+    level, visits, cut = [EMPTY_STATE], [], 0
+    for _ in range(2 * order):
+        kept = [s for s in level if prune_feasible(s, order)]
+        cut += len(level) - len(kept)
+        level = [c for s in kept for c in children(s)]
+        visits.append(len(level))
+    return visits, cut, sum(1 for s in level if is_skolem_label(s))
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_pruned_walk_figures_match_a_level_sweep(order):
+    # the walk decides some children at their parent and only counts them;
+    # the sweep builds and tests every one
+    r = dfs_enumerate(order)
+    assert _swept_pruned_figures(order) == (r.per_level_counts, r.pruned_nodes, r.skolem_count)
 
 
 def test_parallel_enumeration_order8_in_canonical_order():
