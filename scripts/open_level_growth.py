@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 
+from skolemgen.cli import run_to_stdout
 from skolemgen.engine import iter_open_counts
 
 
@@ -41,4 +42,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_to_stdout(main))

@@ -11,6 +11,7 @@ import argparse
 import pathlib
 import sys
 
+from skolemgen.cli import run_to_stdout
 from skolemgen.engine import enumerate_skolem
 from skolemgen.render import render_arc_diagram
 
@@ -38,4 +39,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_to_stdout(main))

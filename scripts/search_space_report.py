@@ -13,6 +13,7 @@ import argparse
 import math
 import sys
 
+from skolemgen.cli import run_to_stdout
 from skolemgen.engine import dfs_enumerate
 
 
@@ -56,4 +57,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_to_stdout(main))

@@ -132,10 +132,10 @@ def _resolve_workers(args) -> int:
 
 def _closed_values(text: str) -> tuple[int, ...]:
     """Values of a sequence in the text grammar that has no open arcs."""
-    entries = parse_entries(text)
-    if any(e.is_open for e in entries):
+    values, opens = parse_entries(text)
+    if any(opens):
         raise InvalidSequenceError("open: sequence still contains open arcs")
-    return tuple(e.value for e in entries)
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +325,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def run_to_stdout(func, *args) -> int:
+    """Return ``func(*args)``, an exit code, with stdout flushed; a reader of
+    stdout that went away (``| head``) ends the run with EXIT_OK."""
     try:
-        code = args.func(args)
+        code = func(*args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except BrokenPipeError:
-        # The reader of stdout went away (``| head``): a normal end.  Point
-        # stdout at /dev/null so the interpreter's final flush cannot fail.
+        # Point stdout at /dev/null so the interpreter's final flush cannot fail.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
     return code
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_to_stdout(args.func, args)
 
 
 if __name__ == "__main__":

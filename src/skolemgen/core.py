@@ -34,6 +34,7 @@ open one, e.g. ``"*7,4,1,1,*3,4,*1"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 
@@ -262,25 +263,39 @@ def format_state(state: OpenState) -> str:
     return format_entries(state.entries)
 
 
-def parse_entries(text: str) -> tuple[Entry, ...]:
-    """Parse the comma grammar: ``k`` closed, ``*k`` open, k a positive
-    integer written in ASCII digits; whitespace around a token is ignored."""
+def parse_entries(text: str) -> tuple[list[int], list[bool]]:
+    """Scan the comma grammar: ``k`` closed, ``*k`` open, k a positive
+    integer written in ASCII digits; whitespace around a token is ignored.
+
+    Returns the token values and, per token, whether it is open.  No
+    ``Entry`` is built, so a caller that needs only the values pays for none;
+    ``parse_state`` builds the entries from this.  It is the one scanner of
+    the grammar.  An accepted text is checked by C-level string and ``map``
+    calls, with no Python code per token; only a rejected text is walked
+    token by token, to name the first bad token.
+    """
     text = text.strip()
     if not text:
-        return ()
-    entries = []
-    for raw in text.split(","):
-        tok = raw.strip()
-        is_open = tok.startswith("*")
-        body = tok[1:] if is_open else tok
-        # int() alone would also take signs, underscores and non-ASCII digits
-        if not (body.isascii() and body.isdigit()):
-            raise InvalidSequenceError(f"parse: bad token {tok!r}")
-        value = int(body)
-        if value < 1:
-            raise InvalidSequenceError(f"parse: non-positive value in token {tok!r}")
-        entries.append(Entry(value, is_open))
-    return tuple(entries)
+        return [], []
+    tokens = list(map(str.strip, text.split(",")))
+    bodies = list(map(str.removeprefix, tokens, repeat("*")))
+    opens = list(map(str.__ne__, tokens, bodies))  # open iff a "*" was removed
+    # int() alone would also take signs, underscores and non-ASCII digits;
+    # an ASCII digit string joined from non-empty bodies rules all three out
+    digits = "".join(bodies)
+    values = None
+    if "" not in bodies and digits.isascii() and digits.isdigit():
+        try:
+            values = list(map(int, bodies))
+        except ValueError:
+            pass  # a body past int()'s digit limit: a bad token before it is named below
+    if values is None or min(values) < 1:  # some token is bad: name the first
+        for tok, body in zip(tokens, bodies):
+            if not (body.isascii() and body.isdigit()):
+                raise InvalidSequenceError(f"parse: bad token {tok!r}")
+            if int(body) < 1:
+                raise InvalidSequenceError(f"parse: non-positive value in token {tok!r}")
+    return values, opens
 
 
 def open_violation(entries: Sequence[Entry]) -> str | None:
@@ -333,7 +348,7 @@ def state_from_sequence(values: str | SkolemSequence | Iterable[Entry | int]) ->
     more than twice, unpaired value).
     """
     if isinstance(values, str):
-        entries: tuple[Entry, ...] = parse_entries(values)
+        entries: tuple[Entry, ...] = tuple(map(Entry, *parse_entries(values)))
     elif isinstance(values, SkolemSequence):
         entries = tuple(Entry.closed(v) for v in values.values)
     else:
@@ -345,4 +360,4 @@ def state_from_sequence(values: str | SkolemSequence | Iterable[Entry | int]) ->
 
 def parse_state(text: str) -> OpenState:
     """Parse the text grammar straight to a validated OpenState."""
-    return state_from_entries(parse_entries(text))
+    return state_from_entries(tuple(map(Entry, *parse_entries(text))))

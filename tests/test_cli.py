@@ -10,9 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skolemgen import cli
-from skolemgen.core import SkolemSequence, parse_state
+from skolemgen.core import Entry, InvalidSequenceError, SkolemSequence, parse_entries, parse_state
 from skolemgen.engine import enumerate_skolem
 from skolemgen.render import render_arc_diagram
 from skolemgen.sts import develop_sts, base_blocks
@@ -417,3 +419,70 @@ def test_worker_count_is_capped_at_available_cpus(monkeypatch, capsys):
     assert cli._resolve_workers(argparse.Namespace(workers=2)) == 2
     assert cli._resolve_workers(argparse.Namespace(workers=1)) == 1
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# one grammar: the token scanner against a per-token reference
+
+def _reference_entries(text):
+    """The comma grammar token by token, one Entry per token."""
+    text = text.strip()
+    if not text:
+        return ()
+    entries = []
+    for raw in text.split(","):
+        tok = raw.strip()
+        is_open = tok.startswith("*")
+        body = tok[1:] if is_open else tok
+        if not (body.isascii() and body.isdigit()):
+            raise InvalidSequenceError(f"parse: bad token {tok!r}")
+        value = int(body)
+        if value < 1:
+            raise InvalidSequenceError(f"parse: non-positive value in token {tok!r}")
+        entries.append(Entry(value, is_open))
+    return tuple(entries)
+
+
+def _reference_closed_values(text):
+    entries = _reference_entries(text)
+    if any(e.is_open for e in entries):
+        raise InvalidSequenceError("open: sequence still contains open arcs")
+    return tuple(e.value for e in entries)
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ValueError as exc:  # InvalidSequenceError, or int()'s digit limit
+        return type(exc).__name__, str(exc)
+
+
+GRAMMAR_TOKENS = [
+    "1", "3", "12", "0", "00", "01", " 3 ", "\t7", "", " ", "*3", "*1", "*0", "*01",
+    "* 3", "**3", "*", "*x", "x", "3a", "1.5", "-1", "+2", "*+3", "1_0", "\u0663", "\u00b2",
+    "1 2", "#",
+]
+
+
+@given(st.lists(st.sampled_from(GRAMMAR_TOKENS) | st.text(max_size=4), max_size=12))
+@settings(max_examples=500, deadline=None)
+def test_closed_values_matches_the_per_token_reference(tokens):
+    text = ",".join(tokens)
+    expected = _outcome(_reference_closed_values, text)
+    assert _outcome(cli._closed_values, text) == expected
+    assert _outcome(lambda t: tuple(map(Entry, *parse_entries(t))), text) == _outcome(_reference_entries, text)
+
+
+@pytest.mark.parametrize("text", [
+    "\u0663", "+2", "1_0", "0", "01", " 3 ", "", "3,,4", ",,", "*3", "3,*x", "*3,x", "*3,0", "*3,+2,*1",
+])
+def test_closed_values_named_cases(text):
+    assert _outcome(cli._closed_values, text) == _outcome(_reference_closed_values, text)
+
+
+@pytest.mark.parametrize("head", ["0", "+2", "*1", "1"])
+def test_a_body_past_the_int_digit_limit_keeps_the_first_error(head):
+    # int() refuses more than 4,300 digits; a bad token before such a body
+    # is still the one named, and with none int()'s own ValueError shows
+    text = head + "," + "1" * 5000
+    assert _outcome(cli._closed_values, text) == _outcome(_reference_closed_values, text)

@@ -1,0 +1,74 @@
+"""Smoke tests of the scripts in ``scripts/``: each runs at a tiny size and
+exits 0, also when the reader of its stdout has gone away."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import skolemgen
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(skolemgen.__file__).resolve().parents[1]
+
+
+def _argv(name, tmp_path):
+    args = {
+        "open_level_growth.py": ["--max-n", "6"],
+        "search_space_report.py": ["--order", "4"],
+        "render_gallery.py": ["--order", "4", "--out-dir", str(tmp_path / "gallery")],
+    }[name]
+    return [sys.executable, str(ROOT / "scripts" / name), *args]
+
+
+def _env(**extra):
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+SCRIPTS = ["open_level_growth.py", "search_space_report.py", "render_gallery.py"]
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_runs_at_a_tiny_size(tmp_path, name):
+    proc = subprocess.run(_argv(name, tmp_path), capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_reader_closing_after_one_line_is_a_normal_exit(tmp_path, name):
+    # unbuffered, so each line is its own write and later ones can meet the
+    # closed pipe; whether they do depends on timing, the next test does not
+    proc = subprocess.Popen(
+        _argv(name, tmp_path), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_env(PYTHONUNBUFFERED="1"),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=120)
+    assert first.strip()
+    assert code == 0
+    assert b"Traceback" not in err
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_into_closed_pipe_is_a_normal_exit(tmp_path, name):
+    # the read end is closed before the script starts, so its first write
+    # to stdout fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            _argv(name, tmp_path), stdout=write_end, stderr=subprocess.PIPE, env=_env(), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr

@@ -1,6 +1,12 @@
 """Steiner triple systems built from Skolem sequences."""
 
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skolemgen.core import SkolemSequence
 from skolemgen.engine import enumerate_skolem
@@ -102,3 +108,130 @@ def test_parse_rejects_malformed_text():
         parse_triple_system("0 1 3")
     with pytest.raises(ValueError):
         parse_triple_system("v=7\n0 1")
+
+
+@pytest.mark.parametrize("text", [
+    "v=+7\n0 1 3",
+    "v=\u0663\n0 1 3",
+    "v=7\n\u0663 1 2",
+    "v=7\n0 1 +2",
+    "v=7\n1_0 1 2",
+    "v=7\n0 -1 2",
+    "v=+7\n\u0663 1 +2",
+    "v=7\n1_0 -1 2",
+])
+def test_parse_accepts_ascii_digits_only(text):
+    with pytest.raises(ValueError):
+        parse_triple_system(text)
+
+
+# ---------------------------------------------------------------------------
+# the fast develop / verify / format against the straightforward forms
+
+def _reference_verify_sts(system):
+    """Every pair counted in a Counter, then every pair of 0..v-1 looked up."""
+    v = system.v
+    if v < 1 or len(system.blocks) * 6 != v * (v - 1):
+        return False
+    cover = Counter()
+    for b in system.blocks:
+        if len(set(b)) != 3 or not all(0 <= p < v for p in b):
+            return False
+        for p, q in combinations(sorted(b), 2):
+            cover[(p, q)] += 1
+    return all(
+        cover[(p, q)] == 1 for p, q in combinations(range(v), 2)
+    ) and sum(cover.values()) == v * (v - 1) // 2
+
+
+def _damage(blocks, v, kind, rng):
+    blocks = list(blocks)
+    i = rng.randrange(len(blocks))
+    b = list(blocks[i])
+    if kind == "move":
+        b[rng.randrange(3)] = rng.randrange(v)
+    elif kind == "duplicate":
+        b = blocks[rng.randrange(len(blocks))]
+    elif kind == "two points":
+        b = b[:2]
+    elif kind == "four points":
+        b = b + [rng.randrange(v)]
+    elif kind == "negative":
+        b[rng.randrange(3)] = -rng.randrange(1, v + 1)
+    elif kind == "too large":
+        b[rng.randrange(3)] = v + rng.randrange(3)
+    elif kind == "pair twice":
+        # keep two points of another block, so that pair is covered twice
+        other = blocks[(i + 1) % len(blocks)]
+        third = rng.choice([p for p in range(v) if p not in other[:2]])
+        b = [other[0], other[1], third]
+    blocks[i] = tuple(b)
+    return blocks
+
+
+DAMAGE = ["move", "duplicate", "two points", "four points", "negative", "too large", "pair twice"]
+ALWAYS_BROKEN = {"two points", "four points", "negative", "too large", "pair twice"}  # the others may undo themselves
+
+
+@pytest.mark.parametrize("kind", DAMAGE)
+def test_verify_matches_counter_reference_on_damaged_systems(kind):
+    rng = random.Random(kind)
+    systems = [develop_sts(base_blocks(w, x), w.order)
+               for w in (SkolemSequence((1, 1)), W4, *list(enumerate_skolem(5))[:3]) for x in (0, 2)]
+    for ts in systems:
+        for _ in range(40):
+            damaged = TripleSystem(ts.v, _damage(ts.blocks, ts.v, kind, rng))
+            assert verify_sts(damaged) == _reference_verify_sts(damaged)
+            if kind in ALWAYS_BROKEN:
+                assert not verify_sts(damaged)
+
+
+def test_verify_matches_counter_reference_on_valid_systems():
+    for order in (1, 4, 5):
+        for w in enumerate_skolem(order):
+            ts = develop_sts(base_blocks(w, 0), order)
+            assert verify_sts(ts) is _reference_verify_sts(ts) is True
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(*[st.integers(-60, 60)] * 3), min_size=n, max_size=n),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_develop_matches_the_translate_major_comprehension(case):
+    n, base = case
+    v = 6 * n + 1
+    ts = develop_sts(base, n)
+    assert ts.v == v
+    assert ts.blocks == tuple(tuple((p + t) % v for p in b) for t in range(v) for b in base)
+
+
+def test_develop_takes_real_points_as_the_comprehension_did():
+    base = [(0.0, 1.5, -0.5), (2, 7.25, -13.75)]
+    v = 13
+    expected = tuple(tuple(int((p + t) % v) for p in b) for t in range(v) for b in base)
+    assert develop_sts(base, 2).blocks == expected
+
+
+def test_develop_with_an_empty_base_block_is_empty():
+    assert develop_sts([(0, 1, 3), ()], 2).blocks == ()
+    assert not verify_sts(develop_sts([(0, 1, 3), ()], 2))
+
+
+@given(st.lists(st.lists(st.integers(-20, 10**12), max_size=4), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_format_matches_the_join_form_for_any_block_shape(blocks):
+    ts = TripleSystem(7, blocks)
+    expected = "\n".join([f"v={ts.v}"] + [" ".join(str(p) for p in b) for b in ts.blocks])
+    assert format_triple_system(ts) == expected
+
+
+def test_triple_system_normalises_blocks_to_tuples_of_ints():
+    ts = TripleSystem(7, [[0, 1, 3], (True, 2.0, 4), iter((5, 6, 1))])
+    assert ts.blocks == ((0, 1, 3), (1, 2, 4), (5, 6, 1))
+    assert all(type(b) is tuple and all(type(p) is int for p in b) for b in ts.blocks)
+    assert type(TripleSystem(7, [(True, 2, 4)]).blocks[0][0]) is int
