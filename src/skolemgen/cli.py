@@ -11,29 +11,23 @@ Subcommands::
 
 Exit codes: 0 ok, 2 usage, 3 resource exhaustion, 4 I/O failure, 5 invalid
 input (including verification failures).  Worker count comes from --workers,
-falling back to the SKOLEMGEN_WORKERS environment variable, defaulting to 1
-for byte-reproducible output.
+falling back to the SKOLEMGEN_WORKERS environment variable, defaulting to 1.
+``count-open`` and ``enumerate`` call ``engine.parallel_count`` and
+``engine.parallel_enumerate`` for every worker count; at one worker these run
+in process, and the output is byte-identical for any count.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
 
 from . import engine
-from .core import (
-    InvalidSequenceError,
-    OpenState,
-    SkolemSequence,
-    format_state,
-    parse_entries,
-    skolem_violation,
-)
+from .core import InvalidSequenceError, SkolemSequence, parse_entries, skolem_violation
 from .render import render_arc_diagram
-from .sts import base_blocks, develop_sts, format_triple_system, parse_triple_system, verify_sts
+from .sts import base_blocks, develop_sts, format_triple_system, verify_sts
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,55 +38,20 @@ EXIT_INVALID = 5
 
 @dataclass(frozen=True)
 class OutputRecord:
-    """One emitted record: its kind, canonical text payload, and order.
+    """One emitted Skolem sequence: its canonical text payload and its order."""
 
-    ``order`` is the sequence order for skolem/open-state/count records and
-    the point count for triple systems.  The payload always re-parses to an
-    equal object (see ``parse``).
-    """
-
-    kind: str  # skolem | open-state | count | sts
     payload: str
     order: int
 
     @classmethod
     def for_sequence(cls, seq: SkolemSequence) -> "OutputRecord":
-        return cls("skolem", str(seq), seq.order)
-
-    @classmethod
-    def for_state(cls, state: OpenState) -> "OutputRecord":
-        return cls("open-state", format_state(state), state.order)
-
-    @classmethod
-    def for_count(cls, n: int, count: int) -> "OutputRecord":
-        return cls("count", f"n={n} count={count}", n)
-
-    @classmethod
-    def for_system(cls, system) -> "OutputRecord":
-        return cls("sts", format_triple_system(system), system.v)
-
-    def parse(self):
-        """Rebuild the object the payload denotes."""
-        if self.kind == "skolem":
-            return SkolemSequence(tuple(int(t) for t in self.payload.split(",")))
-        if self.kind == "open-state":
-            from .core import parse_state
-
-            return parse_state(self.payload)
-        if self.kind == "count":
-            n_part, c_part = self.payload.split()
-            return (int(n_part.removeprefix("n=")), int(c_part.removeprefix("count=")))
-        if self.kind == "sts":
-            return parse_triple_system(self.payload)
-        raise ValueError(f"unknown record kind {self.kind!r}")
+        return cls(str(seq), seq.order)
 
     def ndjson(self) -> str:
-        """One-line JSON form; sequences use the {"order","values"} shape."""
-        if self.kind == "skolem":
-            # the payload is the values joined by "," (``for_sequence``); this
-            # is json.dumps's text for the same dict, without re-parsing it
-            return f'{{"order": {self.order}, "values": [{self.payload.replace(",", ", ")}]}}'
-        return json.dumps({"kind": self.kind, "order": self.order, "payload": self.payload})
+        """One-line JSON form, the {"order","values"} shape."""
+        # the payload is the values joined by "," (``for_sequence``); this is
+        # json.dumps's text for the same dict, without re-parsing it
+        return f'{{"order": {self.order}, "values": [{self.payload.replace(",", ", ")}]}}'
 
 
 def _positive(text: str) -> int:
@@ -142,19 +101,13 @@ def _closed_values(text: str) -> tuple[int, ...]:
 # subcommands
 
 def cmd_count_open(args) -> int:
-    workers = _resolve_workers(args)
     try:
-        if workers > 1:
-            for n, c in enumerate(engine.parallel_count(args.max_n, workers), start=1):
-                print(OutputRecord.for_count(n, c).payload)
-        else:
-            # the depth-first counts all arrive after one pass; each line is
-            # flushed so that what was printed survives a later failure
-            for n, c in enumerate(engine.iter_open_counts(args.max_n), start=1):
-                print(OutputRecord.for_count(n, c).payload, flush=True)
+        counts = engine.parallel_count(args.max_n, _resolve_workers(args))
     except (MemoryError, engine.ResourceExhaustedError) as exc:
         print(f"skolemgen: resource exhaustion: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    for n, c in enumerate(counts, start=1):
+        print(f"n={n} count={c}")
     return EXIT_OK
 
 
@@ -169,11 +122,7 @@ def cmd_enumerate(args) -> int:
             return EXIT_IO
     count = 0
     try:
-        if workers > 1:
-            stream = engine.parallel_enumerate(args.order, args.prune, workers)
-        else:
-            stream = engine.enumerate_skolem(args.order, args.prune)
-        for seq in stream:
+        for seq in engine.parallel_enumerate(args.order, args.prune, workers):
             record = OutputRecord.for_sequence(seq)
             line = record.ndjson() if args.format == "ndjson" else record.payload
             out.write(line + "\n")
@@ -194,7 +143,8 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     if args.infile is not None:
         try:
-            fh = open(args.infile)
+            # undecodable bytes reach the grammar as lone surrogates, as on stdin
+            fh = open(args.infile, errors="surrogateescape")
         except OSError as exc:
             print(f"skolemgen: cannot read {args.infile}: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -261,7 +211,7 @@ def cmd_sts(args) -> int:
     ok = verify_sts(system)
     for a, b, c in base:
         print(f"base ({a},{b},{c})")
-    print(OutputRecord.for_system(system).payload)
+    print(format_triple_system(system))
     print("VERIFIED" if ok else "FAILED")
     return EXIT_OK if ok else EXIT_INVALID
 

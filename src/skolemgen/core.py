@@ -259,13 +259,16 @@ def format_entries(entries: Iterable[Entry]) -> str:
     return ",".join(str(e) for e in entries)
 
 
-def format_state(state: OpenState) -> str:
-    return format_entries(state.entries)
+# int()'s default limit on the digits of a string.  A longer body is rejected
+# before int() sees it: leading zeros count, and without them it is a value
+# no sequence that fits in memory has.
+MAX_DIGITS = 4300
 
 
 def parse_entries(text: str) -> tuple[list[int], list[bool]]:
     """Scan the comma grammar: ``k`` closed, ``*k`` open, k a positive
-    integer written in ASCII digits; whitespace around a token is ignored.
+    integer written in at most MAX_DIGITS ASCII digits; whitespace around a
+    token is ignored.
 
     Returns the token values and, per token, whether it is open.  No
     ``Entry`` is built, so a caller that needs only the values pays for none;
@@ -288,11 +291,13 @@ def parse_entries(text: str) -> tuple[list[int], list[bool]]:
         try:
             values = list(map(int, bodies))
         except ValueError:
-            pass  # a body past int()'s digit limit: a bad token before it is named below
+            pass  # an over-long body: it, or a bad token before it, is named below
     if values is None or min(values) < 1:  # some token is bad: name the first
         for tok, body in zip(tokens, bodies):
             if not (body.isascii() and body.isdigit()):
                 raise InvalidSequenceError(f"parse: bad token {tok!r}")
+            if len(body) > MAX_DIGITS:  # before int(), which refuses it
+                raise InvalidSequenceError(f"parse: over-long token of {len(body)} digits")
             if int(body) < 1:
                 raise InvalidSequenceError(f"parse: non-positive value in token {tok!r}")
     return values, opens

@@ -14,9 +14,11 @@ used lengths.  Starting an arc ticks every open value up and appends *1,
 ``O' = (O ^ 1 << j) << 1`` and ``U' = U | 1 << j``.  A node of length 2N is
 a Skolem sequence exactly when U holds the lengths 1..N.  Entries matter
 only when enumerating: the walk writes both ends of each arc it closes into
-one buffer.  The same walk counts levels, enumerates with or without
-pruning, and runs the subtrees of worker processes; ``_iter_counts_levels``
-and ``iter_level_states`` recount the tree by other means, as cross-checks.
+one buffer.  The same walk counts levels (in one pass, so every count
+arrives when it ends), enumerates with or without pruning, and runs the
+subtrees of worker processes.  ``_iter_counts_levels`` and
+``iter_level_states`` recount the tree by other means; only the tests call
+them, as cross-checks.
 
 A node's state fixes how many children it has: the opener plus one closer
 per open value whose length is unused, ``1 + popcount(O & ~U)``.  So a count
@@ -52,7 +54,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import OpenState, SkolemSequence, children
 
@@ -293,11 +295,6 @@ def _count_below(job: tuple[_Seed, int]) -> list[int]:
     return visits[seed[0] + 1 :]
 
 
-def _iter_counts_dfs(max_order: int) -> Iterator[int]:
-    """Level counts from one depth-first pass; all arrive when it ends."""
-    yield from _count_below((_ROOT, max_order))
-
-
 def _iter_counts_levels(max_order: int) -> Iterator[int]:
     """Level counts by a level-synchronised sweep over compressed states.
 
@@ -322,30 +319,18 @@ def _iter_counts_levels(max_order: int) -> Iterator[int]:
         yield sum(level.values())
 
 
-def iter_open_counts(max_order: int, *, method: str = "dfs") -> Iterator[int]:
-    """Yield the number of open Skolem sequences of order 1..max_order."""
-    _require_order(max_order)
-    if method == "dfs":
-        yield from _iter_counts_dfs(max_order)
-    elif method == "levels":
-        yield from _iter_counts_levels(max_order)
-    else:
-        raise ValueError(f"unknown counting method {method!r}")
+def count_open_levels(max_order: int) -> list[int]:
+    """Exact count of open Skolem sequences per order, 1..max_order, from one
+    depth-first pass.
 
-
-def count_open_levels(max_order: int, *, method: str = "dfs") -> list[int]:
-    """Exact count of open Skolem sequences per order, 1..max_order.
-
-    On memory exhaustion raises ResourceExhaustedError carrying the counts of
-    every level that did complete.
+    On memory exhaustion raises ResourceExhaustedError.  No level is complete
+    before the pass ends, so its partial counts are empty.
     """
-    counts: list[int] = []
+    _require_order(max_order)
     try:
-        for c in iter_open_counts(max_order, method=method):
-            counts.append(c)
+        return _count_below((_ROOT, max_order))
     except MemoryError as exc:
-        raise ResourceExhaustedError(counts) from exc
-    return counts
+        raise ResourceExhaustedError([]) from exc
 
 
 def iter_level_states(max_order: int) -> Iterator[list[OpenState]]:
@@ -396,26 +381,17 @@ def enumerate_skolem(order: int, prune: bool = True) -> Iterator[SkolemSequence]
         yield SkolemSequence(vals)
 
 
-def dfs_enumerate(
-    target_order: int,
-    prune: bool = True,
-    sink: Callable[[SkolemSequence], None] | None = None,
-) -> EnumerationReport:
-    """Walk the tree to depth 2*target_order, deliver each Skolem leaf to
-    ``sink``, and report visited/pruned node counts per level.
-
-    Sink failures abort the traversal and propagate to the caller.
-    """
+def dfs_enumerate(target_order: int, prune: bool = True) -> EnumerationReport:
+    """Walk the tree to depth 2*target_order, validate each Skolem leaf, and
+    report visited/pruned node counts per level."""
     _require_order(target_order)
     visits = [0] * (2 * target_order + 1)
     cut = [0] if prune else None
     count = 0
     t0 = time.perf_counter()
     for vals in _leaves(_ROOT, (), target_order, visits, cut):
-        seq = SkolemSequence(vals)
+        SkolemSequence(vals)
         count += 1
-        if sink is not None:
-            sink(seq)
     return EnumerationReport(
         target_order=target_order,
         per_level_counts=visits[1:],
@@ -432,7 +408,8 @@ def parallel_count(max_order: int, workers: int = 1) -> list[int]:
     """count_open_levels with the tree split across worker processes.
 
     The split sits at the first level holding at least 4x workers nodes;
-    output is identical to the sequential count for any worker count.
+    output is identical to the sequential count for any worker count.  One
+    worker runs ``count_open_levels`` in process.
     """
     _require_order(max_order)
     if workers < 1:
@@ -466,7 +443,8 @@ def parallel_enumerate(
     The emitted multiset is identical to the sequential walk; results are
     yielded subtree by subtree in canonical seed order.  Closing the
     generator, or an error in it, cancels the subtrees still pending and
-    waits only for those already handed to the worker processes.
+    waits only for those already handed to the worker processes.  One worker
+    runs ``enumerate_skolem`` in process.
     """
     _require_order(order)
     if workers < 1:

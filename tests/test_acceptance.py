@@ -47,7 +47,7 @@ def _verdict(num, name, ok, detail):
 @pytest.fixture(scope="module")
 def counts14():
     t0 = time.perf_counter()
-    counts = count_open_levels(14, method="dfs")
+    counts = count_open_levels(14)
     return counts, time.perf_counter() - t0
 
 

@@ -51,16 +51,28 @@ def test_count_open_usage_errors():
     assert run(["count-open", "--max-n", "x"]) == 2
 
 
-def test_count_open_resource_failure(monkeypatch, capsys):
-    def exploding(max_order, method="dfs"):
-        yield 1
-        raise MemoryError("synthetic")
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("synthetic")
 
-    monkeypatch.setattr(cli.engine, "iter_open_counts", exploding)
-    assert run(["count-open", "--max-n", "5"]) == 3
+
+def test_count_open_resource_failure(monkeypatch, capsys):
+    # the walk's first heartbeat runs out of memory, before any count exists
+    monkeypatch.setattr(cli.engine, "PROGRESS_INTERVAL", 100)
+    monkeypatch.setattr(cli.engine, "print", _out_of_memory, raising=False)
+    assert run(["count-open", "--max-n", "9"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "n=1 count=1\n"  # partial line survives
+    assert captured.out == ""
     assert "resource" in captured.err
+
+
+def test_count_open_resource_failure_in_a_worker(monkeypatch, capsys):
+    # forked workers inherit the patch; the pool re-raises their MemoryError
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli.engine, "_count_below", _out_of_memory)
+    assert run(["count-open", "--max-n", "12", "--workers", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "skolemgen: resource exhaustion: synthetic\n"
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +192,28 @@ def test_verify_from_file(tmp_path, capsys):
     assert run(["verify", "--in", str(src)]) == 0
     assert capsys.readouterr().out == "OK order=1\n"
     assert run(["verify", "--in", str(tmp_path / "missing.txt")]) == 4
+
+
+def test_verify_from_file_with_undecodable_bytes(tmp_path, capsys):
+    # read as stdin is: the bad bytes reach the grammar as lone surrogates
+    src = tmp_path / "seqs.txt"
+    src.write_bytes(b"1,1\n\xff\xfe,2\n")
+    assert run(["verify", "--in", str(src)]) == 5
+    assert capsys.readouterr().out == "OK order=1\nFAIL parse: bad token '\\udcff\\udcfe'\n"
+
+
+def test_verify_over_long_token_is_a_parse_failure(monkeypatch, capsys):
+    _feed(monkeypatch, "1" * 5000 + ",1\n1,1\n")
+    assert run(["verify"]) == 5
+    assert capsys.readouterr().out == "FAIL parse: over-long token of 5000 digits\nOK order=1\n"
+
+
+@pytest.mark.parametrize("command", ["sts", "render"])
+def test_sequence_with_an_over_long_token_is_invalid(capsys, command):
+    assert run([command, "--sequence", "1" * 5000 + ",1"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "skolemgen: invalid sequence: parse: over-long token of 5000 digits\n"
 
 
 def test_enumerate_piped_into_verify(tmp_path, capsys):
@@ -310,21 +344,10 @@ def test_render_bad_format_flag():
 def test_record_round_trips():
     seq = SkolemSequence((3, 4, 2, 3, 2, 4, 1, 1))
     rec = cli.OutputRecord.for_sequence(seq)
-    assert rec.kind == "skolem" and rec.order == 4
-    assert rec.parse() == seq
-
-    state = parse_state("*7,4,1,1,*3,4,*1")
-    rec = cli.OutputRecord.for_state(state)
-    assert rec.parse() == state
-
-    rec = cli.OutputRecord.for_count(5, 20)
-    assert rec.payload == "n=5 count=20"
-    assert rec.parse() == (5, 20)
-
-    ts = develop_sts(base_blocks((1, 1), 0), 1)
-    rec = cli.OutputRecord.for_system(ts)
-    assert rec.order == 7
-    assert rec.parse() == ts
+    assert rec.order == 4
+    assert SkolemSequence(tuple(map(int, rec.payload.split(",")))) == seq
+    record = json.loads(rec.ndjson())
+    assert SkolemSequence(tuple(record["values"])) == seq and record["order"] == 4
 
 
 def test_record_ndjson_shape():
@@ -436,6 +459,8 @@ def _reference_entries(text):
         body = tok[1:] if is_open else tok
         if not (body.isascii() and body.isdigit()):
             raise InvalidSequenceError(f"parse: bad token {tok!r}")
+        if len(body) > 4300:  # int()'s default digit limit
+            raise InvalidSequenceError(f"parse: over-long token of {len(body)} digits")
         value = int(body)
         if value < 1:
             raise InvalidSequenceError(f"parse: non-positive value in token {tok!r}")
@@ -453,7 +478,7 @@ def _reference_closed_values(text):
 def _outcome(parse, text):
     try:
         return "ok", parse(text)
-    except ValueError as exc:  # InvalidSequenceError, or int()'s digit limit
+    except ValueError as exc:  # InvalidSequenceError, or an escape from int()
         return type(exc).__name__, str(exc)
 
 
@@ -483,6 +508,6 @@ def test_closed_values_named_cases(text):
 @pytest.mark.parametrize("head", ["0", "+2", "*1", "1"])
 def test_a_body_past_the_int_digit_limit_keeps_the_first_error(head):
     # int() refuses more than 4,300 digits; a bad token before such a body
-    # is still the one named, and with none int()'s own ValueError shows
+    # is still the one named, and with none the body is named over-long
     text = head + "," + "1" * 5000
     assert _outcome(cli._closed_values, text) == _outcome(_reference_closed_values, text)

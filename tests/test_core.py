@@ -13,7 +13,6 @@ from skolemgen.core import (
     add_closers,
     add_opener,
     children,
-    format_state,
     is_skolem_label,
     parent,
     parse_entries,
@@ -133,13 +132,29 @@ def test_reverse_is_valid_and_involutive():
 
 def test_parse_format_round_trip():
     for text in ("*7,4,1,1,*3,4,*1", "1,1", "*1", "3,4,2,3,2,4,1,1"):
-        assert format_state(parse_state(text)) == text
+        assert str(parse_state(text)) == text
 
 
 def test_parse_rejects_garbage():
     for text in ("x", "1,,2", "*0,1", "-3", "1,*x"):
         with pytest.raises(InvalidSequenceError):
             parse_entries(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 5000, "*" + "1" * 5000, "0" * 4300 + "1", "1,1," + "9" * 4301],
+    ids=["closed", "open", "leading-zeros", "third-token"],
+)
+def test_parse_state_rejects_an_over_long_token(text):
+    # a body past int()'s digit limit, leading zeros included, is refused
+    # before int() sees it
+    with pytest.raises(InvalidSequenceError, match="parse: over-long token"):
+        parse_state(text)
+
+
+def test_parse_keeps_leading_zeros_below_the_digit_limit():
+    assert parse_state("0" * 4299 + "1,1") == parse_state("1,1")
 
 
 def test_state_parse_rejects_bad_invariants():
@@ -221,7 +236,7 @@ def test_reachable_states_satisfy_invariants(s):
     # order splits into closed pairs plus open arcs
     assert n == 2 * len(s.used) + len(opens)
     # round trip through the text grammar
-    assert parse_state(format_state(s)) == s
+    assert parse_state(str(s)) == s
     # re-validation from raw entries agrees
     assert state_from_sequence(s.entries) == s
 

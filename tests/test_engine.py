@@ -1,6 +1,7 @@
 """Tree traversal: counting cross-checks, enumeration order, pruning
 soundness, parallel determinism, and resource-failure plumbing."""
 
+import multiprocessing
 import sys
 
 import pytest
@@ -23,7 +24,6 @@ from skolemgen.engine import (
     dfs_enumerate,
     enumerate_skolem,
     iter_level_states,
-    iter_open_counts,
     parallel_count,
     parallel_enumerate,
     prune_feasible,
@@ -43,17 +43,12 @@ def test_dfs_counts_to_12():
 
 
 def test_level_sweep_counts_agree_with_dfs():
-    assert count_open_levels(12, method="levels") == OPEN_COUNTS_12
+    assert list(engine._iter_counts_levels(12)) == OPEN_COUNTS_12
 
 
 def test_full_state_levels_agree_with_compressed_counts():
     sizes = [len(level) for level in iter_level_states(10)]
     assert sizes == OPEN_COUNTS_12[:10]
-
-
-def test_streaming_counts_prefix():
-    stream = iter_open_counts(6)
-    assert [next(stream) for _ in range(3)] == [1, 2, 4]
 
 
 @pytest.mark.parametrize("workers", [2, 3, 8])
@@ -82,20 +77,21 @@ def test_counting_walk_enters_no_node_of_the_last_two_levels(monkeypatch, capsys
 def test_counting_argument_errors():
     with pytest.raises(ValueError):
         count_open_levels(0)
-    with pytest.raises(ValueError):
-        count_open_levels(4, method="bogus")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("synthetic")
 
 
 def test_memory_failure_reports_partial_counts(monkeypatch):
-    def exploding(max_order):
-        yield 1
-        yield 2
-        raise MemoryError("synthetic")
-
-    monkeypatch.setattr(engine, "_iter_counts_dfs", exploding)
+    # the walk's first heartbeat runs out of memory, mid-pass; no level is
+    # complete before the one pass ends, so no partial count survives
+    monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 100)
+    monkeypatch.setattr(engine, "print", _out_of_memory, raising=False)
     with pytest.raises(ResourceExhaustedError) as info:
         count_open_levels(9)
-    assert info.value.partial_counts == [1, 2]
+    assert info.value.partial_counts == []
+    assert isinstance(info.value.__cause__, MemoryError)
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +173,6 @@ def test_pruned_run_same_count_fewer_visits():
     assert cut.skolem_count == full.skolem_count == 6
     assert cut.pruned_nodes > 0
     assert all(a <= b for a, b in zip(cut.per_level_counts, full.per_level_counts))
-
-
-def test_sink_sees_every_sequence_and_failures_propagate():
-    got = []
-    r = dfs_enumerate(4, prune=True, sink=got.append)
-    assert [s.values for s in got] == _reference_enumeration(4)
-    assert r.skolem_count == len(got)
-
-    class Boom(RuntimeError):
-        pass
-
-    def bad_sink(seq):
-        raise Boom
-
-    with pytest.raises(Boom):
-        dfs_enumerate(4, sink=bad_sink)
 
 
 def test_progress_lines_reach_stderr(monkeypatch, capsys):
@@ -358,6 +338,15 @@ def test_closing_parallel_enumeration_drops_unstarted_subtrees(monkeypatch, tmp_
     ran = len((tmp_path / "jobs").read_text().splitlines())
     # 4x workers subtrees submitted up front, and one more once the first is read
     assert 1 <= ran <= 4 * workers + 1 < seeds
+
+
+def test_parallel_runs_leave_no_worker_process():
+    assert parallel_count(12, 2) == OPEN_COUNTS_12
+    assert multiprocessing.active_children() == []
+    stream = parallel_enumerate(8, True, 2)
+    next(stream)
+    stream.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_parallel_argument_errors():
