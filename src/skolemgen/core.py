@@ -33,6 +33,7 @@ open one, e.g. ``"*7,4,1,1,*3,4,*1"``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -259,16 +260,11 @@ def format_entries(entries: Iterable[Entry]) -> str:
     return ",".join(str(e) for e in entries)
 
 
-# int()'s default limit on the digits of a string.  A longer body is rejected
-# before int() sees it: leading zeros count, and without them it is a value
-# no sequence that fits in memory has.
-MAX_DIGITS = 4300
-
-
 def parse_entries(text: str) -> tuple[list[int], list[bool]]:
     """Scan the comma grammar: ``k`` closed, ``*k`` open, k a positive
-    integer written in at most MAX_DIGITS ASCII digits; whitespace around a
-    token is ignored.
+    integer written in ASCII digits, no more of them than int() takes
+    (``sys.get_int_max_str_digits()``, 4,300 by default, 0 for no limit);
+    whitespace around a token is ignored.
 
     Returns the token values and, per token, whether it is open.  No
     ``Entry`` is built, so a caller that needs only the values pays for none;
@@ -293,10 +289,13 @@ def parse_entries(text: str) -> tuple[list[int], list[bool]]:
         except ValueError:
             pass  # an over-long body: it, or a bad token before it, is named below
     if values is None or min(values) < 1:  # some token is bad: name the first
+        limit = sys.get_int_max_str_digits()
         for tok, body in zip(tokens, bodies):
             if not (body.isascii() and body.isdigit()):
                 raise InvalidSequenceError(f"parse: bad token {tok!r}")
-            if len(body) > MAX_DIGITS:  # before int(), which refuses it
+            # before int(), which refuses it: leading zeros count, and without
+            # them it is a value no sequence that fits in memory has
+            if 0 < limit < len(body):
                 raise InvalidSequenceError(f"parse: over-long token of {len(body)} digits")
             if int(body) < 1:
                 raise InvalidSequenceError(f"parse: non-positive value in token {tok!r}")

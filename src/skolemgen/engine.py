@@ -38,11 +38,31 @@ arcs: the k-th largest of them needs k open values >= its r-R+1.  Each test
 is individually sound, so pruned and unpruned enumeration emit the same
 sequences.
 
-Some children fail the test already at their parent, and the pruned walk
-counts them as visited and cut without building them.  When no unused
-length exceeds the top open value *h, every child but "close *h" carries
-*h+1, which has no unused length left to close at.  When the open arcs fill
-the remaining positions, the opener leaves one arc too many.
+The pruned walk decides the room, range and greedy tests of every child at
+its parent, and counts a child that fails them as visited and cut without
+building it.  Take a node that passed, with free = ~U over 1..N and p open
+values.  With U within 1..N, n = 2|U| + p and N = |U| + popcount(free), so
+
+    2N - n = 2 popcount(free) - p,
+
+and the room test reads popcount(free) >= p; its parity never changes from
+parent to child.  Rank the open values from the largest down, rank(v) = 1
+for the top one; one step turns every open v into v+1, which the greedy
+test gives rank(v) unused lengths >= v+1.  Closing *j leaves the rank and
+that count unchanged for every open v > j; every v < j loses one rank and
+loses j from the count, so the two changes cancel, and the room is
+unchanged.  So the child closing *j passes iff every other open v has
+popcount(free >> (v+1)) >= rank(v).  The opener passes iff every open v
+does and popcount(free) >= p + 1 (the new *1 needs a length), which is the
+room test with one arc more: the open arcs must not fill the remaining
+positions.  An open v = N has no free length above N, so the same
+comparison flags it for the range test.  One pass over the open values
+thus yields B, the values that fail it: with two or more, every child is
+cut; with B = {v}, only "close *v" lives, and it exists, because the parent
+passed: popcount(free >> v) >= rank(v) > popcount(free >> (v+1)), so length
+v is unused; with B empty, every closer lives, and the opener lives unless
+the room test fails.  A pushed child then needs only the forced-length test
+on entry.
 """
 
 from __future__ import annotations
@@ -122,35 +142,39 @@ def _feasible(n: int, O: int, U: int, order: int) -> bool:
         positions remain needs 2N - n - p >= 0 and even;
       * every used length must lie in 1..N;
       * no open value may exceed N;
+      * forced lengths (``_forced_fit``);
       * the open values, which must eventually close at distinct unused
         lengths no smaller than their current value, must match injectively
         into {1..N} minus the used set: the k-th largest open value needs
-        k unused lengths at or above it (the greedy largest-to-largest check);
-      * forced lengths: with R = 2N - n positions left, a new arc is at most
-        R-1 long, so an unused length r >= R must be taken by an open value
-        in r-R+1..r (it grows by one per position, up to v+R-1), a distinct
-        one per length: the k-th largest unused r >= R needs k open values
-        >= r-R+1 (Hall's condition on the largest k such lengths).
+        k unused lengths at or above it (the greedy largest-to-largest check).
     """
     R = 2 * order - n
     rem = R - O.bit_count()
     if rem < 0 or rem & 1 or (O | U) >> (order + 1):
         return False
     free = ~U & ((2 << order) - 2)  # _lengths(order), without a call per node
-    F = free >> R  # bit i: the unused length i + R, too long for a new arc
-    k = 0
-    while F:
-        i = F.bit_length() - 1
-        F ^= 1 << i
-        k += 1
-        if (O >> (i + 1)).bit_count() < k:
-            return False
+    if not _forced_fit(free >> R, O):
+        return False
     k = 0
     while O:
         j = O.bit_length() - 1
         O ^= 1 << j
         k += 1
         if (free >> j).bit_count() < k:
+            return False
+    return True
+
+
+def _forced_fit(F: int, O: int) -> bool:
+    """The forced-length test (see the module docstring).  With R positions
+    left, bit i of ``F`` is the unused length i + R, too long for a new arc:
+    the k-th largest such length needs k open values >= i + 1 in ``O``."""
+    k = 0
+    while F:
+        i = F.bit_length() - 1
+        F ^= 1 << i
+        k += 1
+        if (O >> (i + 1)).bit_count() < k:
             return False
     return True
 
@@ -166,18 +190,19 @@ def _walk(
 
     Children are popped in canonical order: the opener, then the closers by
     increasing j.  ``visits[m]`` counts the nodes at length m.  With ``cut``
-    given, a node short of full length that fails ``_feasible`` against order
-    ``len(ent) // 2`` is counted in ``cut[0]`` and not expanded; children
-    that a node's masks show would fail it (see the module docstring) are
-    added to ``visits`` and ``cut[0]`` at the node, without being built or
-    counted by the progress heartbeat.  At full length the walk yields
+    given, pruning is against order ``len(ent) // 2``: a seed short of full
+    length runs all of ``_feasible``, and a node the walk pushes runs only
+    its forced-length test, because its parent decided the others (see the
+    module docstring).  A node that fails is counted in ``cut[0]`` and not
+    expanded; a child its parent rejects is added to ``visits`` and
+    ``cut[0]`` there, without being built.  At full length the walk yields
     (O, U) for every node whose used mask contains ``goal``: 0 takes every
-    node.  With ``goal`` None the walk only counts:
-    it yields nothing, takes no ``cut`` and needs a seed short of full
-    length.  A node two levels short, or a seed one level short, adds the
-    nodes of the last levels below it to ``visits`` from popcounts and is not
-    expanded, so the progress heartbeat counts only the nodes entered above
-    them.
+    node.  With ``goal`` None the walk only counts: it yields nothing, takes
+    no ``cut`` and needs a seed short of full length.  A node two levels
+    short, or a seed one level short, adds the nodes of the last levels
+    below it to ``visits`` from popcounts and is not expanded.  The progress
+    heartbeat counts only the nodes the walk enters, so it counts fewer than
+    ``visits`` both there and for the children a parent rejects.
 
     ``ent[:n]`` holds the seed's entries.  Closing ``*j`` writes both ends of
     its arc, so at each yield ``ent`` holds the node's closed entries; those
@@ -191,6 +216,12 @@ def _walk(
     t = 0
     stack = [(*seed, 0)]  # (n, O, U, j): j > 0 when the node closed *j
     pop, push = stack.pop, stack.append
+    if cut is not None and seed[0] < depth and not _feasible(*seed, order):
+        # A seed may come from an unpruned walk (a ``_split`` node), so it
+        # runs every test; a node the walk pushes runs only the forced one.
+        visits[seed[0]] += 1
+        cut[0] += 1
+        return
     while stack:
         n, O, U, j = pop()
         if j:
@@ -222,21 +253,36 @@ def _walk(
                 visits[depth] += 1 + closable.bit_count()
             continue
         if cut is not None:
-            if not _feasible(n, O, U, order):
+            # The parent, or for the seed the check above, decided the other
+            # tests; see the module docstring.
+            free = ~U & full
+            if not _forced_fit(free >> (depth - n), O):
                 cut[0] += 1
                 continue
             if n + 1 < depth:
-                # Children known here to fail _feasible are counted as
-                # visited and cut, and never built.
-                h = O.bit_length() - 1
-                if not (~U & full) >> (h + 1):
-                    # No unused length exceeds the top value *h: every child
-                    # but "close *h" leaves a value *h+1 with nowhere to close.
-                    skipped = (O & ~U).bit_count()
+                # One rank pass over the open values decides every child's
+                # room, range and greedy tests: B collects (up to two of) the
+                # values v of rank k with fewer than k unused lengths >= v+1.
+                B = 0
+                k = 0
+                rest = O
+                while rest:
+                    v = rest.bit_length() - 1
+                    rest ^= 1 << v
+                    k += 1
+                    if (free >> (v + 1)).bit_count() < k:
+                        B |= 1 << v
+                        if B & (B - 1):
+                            break
+                if B:
+                    # Only "close *v" can live, and only if v is the one
+                    # value in B; the other children are counted as cut.
+                    skipped = 1 + (O & ~U).bit_count()
+                    if not B & (B - 1):
+                        skipped -= 1
+                        push((n + 1, (O ^ B) << 1, U | B, B.bit_length() - 1))
                     visits[n + 1] += skipped
                     cut[0] += skipped
-                    b = 1 << h
-                    push((n + 1, (O ^ b) << 1, U | b, h))
                     continue
                 if depth - n == O.bit_count():
                     # The open arcs fill the remaining positions: no opener.

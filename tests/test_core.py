@@ -1,5 +1,7 @@
 """Domain types, growth rules, recognizers, and the text grammar."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +157,22 @@ def test_parse_state_rejects_an_over_long_token(text):
 
 def test_parse_keeps_leading_zeros_below_the_digit_limit():
     assert parse_state("0" * 4299 + "1,1") == parse_state("1,1")
+
+
+def test_parse_follows_the_interpreter_digit_limit():
+    # the limit is read when a text is parsed, not fixed at import
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1000)
+        with pytest.raises(InvalidSequenceError, match="over-long token of 2000 digits"):
+            parse_entries("1" * 2000 + ",1")
+        with pytest.raises(InvalidSequenceError, match="over-long token of 1001 digits"):
+            parse_entries("0" * 1000 + "1")
+        assert parse_entries("0" * 999 + "1,*1") == ([1, 1], [False, True])
+        sys.set_int_max_str_digits(0)  # no limit
+        assert parse_entries("1" * 5000 + ",1") == ([int("1" * 5000), 1], [False, False])
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_state_parse_rejects_bad_invariants():

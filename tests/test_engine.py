@@ -405,17 +405,23 @@ def test_pruned_walk_figures_order9():
     assert r.skolem_count == 2656
 
 
-def _swept_pruned_figures(order):
-    """Per-level visits, cut count and Skolem leaves of the pruned walk, by a
-    level sweep over ``core.children`` that tests every node short of full
-    length with ``prune_feasible``; it shares no code with ``engine._walk``."""
-    level, visits, cut = [EMPTY_STATE], [], 0
-    for _ in range(2 * order):
+def _pruned_sweep(order, start):
+    """Per-level visits below ``start``, cut count and Skolem leaf values of
+    the pruned walk from ``start``, by a level sweep over ``core.children``
+    that tests every node short of full length with ``prune_feasible``; it
+    shares no code with ``engine._walk``."""
+    level, visits, cut = [start], [], 0
+    for _ in range(2 * order - start.order):
         kept = [s for s in level if prune_feasible(s, order)]
         cut += len(level) - len(kept)
         level = [c for s in kept for c in children(s)]
         visits.append(len(level))
-    return visits, cut, sum(1 for s in level if is_skolem_label(s))
+    return visits, cut, [s.values() for s in level if is_skolem_label(s)]
+
+
+def _swept_pruned_figures(order):
+    visits, cut, leaves = _pruned_sweep(order, EMPTY_STATE)
+    return visits, cut, len(leaves)
 
 
 @pytest.mark.parametrize("order", range(1, 9))
@@ -424,6 +430,62 @@ def test_pruned_walk_figures_match_a_level_sweep(order):
     # the sweep builds and tests every one
     r = dfs_enumerate(order)
     assert _swept_pruned_figures(order) == (r.per_level_counts, r.pruned_nodes, r.skolem_count)
+
+
+@pytest.mark.parametrize("order", [5, 6, 7])
+def test_pruned_walk_from_any_seed_matches_a_level_sweep(order):
+    # a seed may come from an unpruned walk, as a ``_split`` node does, so
+    # the walk must cut it by every test, not only by those its parent decides
+    depth = 2 * order
+    for level in iter_level_states(6):
+        for s in level:
+            n = s.order
+            seed = (n, sum(1 << v for v in s.open_values()), sum(1 << v for v in s.used))
+            visits, cut = [0] * (depth + 1), [0]
+            leaves = list(engine._leaves(seed, s.values(), order, visits, cut))
+            assert visits[:n + 1] == [0] * n + [1]
+            assert (visits[n + 1:], cut[0], leaves) == _pruned_sweep(order, s), str(s)
+
+
+# frozen before the matching test moved to the parent, which moves no figure
+ORDER10_VISITS = [
+    1, 2, 4, 8, 20, 52, 146, 430, 1306, 4176,
+    13687, 24410, 42085, 64779, 89419, 104370, 90515, 58394, 27578, 0,
+]
+
+
+def test_pruned_walk_figures_order10():
+    r = dfs_enumerate(10)
+    assert r.per_level_counts == ORDER10_VISITS
+    assert sum(r.per_level_counts) == 521382
+    assert r.pruned_nodes == 326423
+    assert r.skolem_count == 0
+
+
+ORDER17_FIRST_LEAF_VISITS = [
+    1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 15, 164, 1619, 14240, 112824,
+    821836, 596651, 131672, 6034, 2, 1, 1, 1, 1, 1, 2, 8, 22, 39, 8, 2, 2,
+]
+
+
+def _walk_too_long(*args, **kwargs):
+    raise AssertionError("the walk entered a million nodes")
+
+
+def test_pruned_walk_figures_up_to_the_first_order17_leaf(monkeypatch):
+    # The walk enters fewer than 800,000 nodes before this leaf; a walk that
+    # cuts a path to it would run on for hours, so its heartbeat stops it.
+    monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 1_000_000)
+    monkeypatch.setattr(engine, "print", _walk_too_long, raising=False)
+    visits, cut = [0] * 35, [0]
+    first = next(engine._leaves(engine._ROOT, (), 17, visits, cut))
+    assert first == (
+        17, 15, 16, 11, 9, 10, 14, 12, 13, 3, 1, 1, 3, 9, 11, 10, 15,
+        17, 16, 12, 14, 13, 8, 5, 7, 2, 6, 2, 5, 4, 8, 7, 6, 4,
+    )
+    assert visits[1:] == ORDER17_FIRST_LEAF_VISITS
+    assert sum(visits[1:]) == 1685158
+    assert cut[0] == 1426444
 
 
 def test_parallel_enumeration_order8_in_canonical_order():
