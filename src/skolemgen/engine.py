@@ -21,11 +21,22 @@ subtrees of worker processes.  ``_iter_counts_levels`` and
 them, as cross-checks.
 
 A node's state fixes how many children it has: the opener plus one closer
-per open value whose length is unused, ``1 + popcount(O & ~U)``.  So a count
-does not walk the last two levels: a node two levels short of the target
-adds its children, and the sum of their child counts, from popcounts of its
-own masks, and is not expanded.  Enumeration and the split still enter every
-node, because they need each node's entries or state.
+per open value whose length is unused, ``1 + c`` with C = O & ~U and
+c = popcount(C).  Its grandchildren have a closed form too.  With
+A = (O << 1) & ~U, the opener child has 1 + popcount(A) + [bit 1 of U clear]
+children (the new *1 is closable unless length 1 is used).  Closing *j takes
+bit j+1 out of O << 1 and adds j to U, so that child has one child fewer
+than 1 + popcount(A) for each of j+1 in A and j in A.  Summed over the
+opener and the closers,
+
+    grandchildren = (c + 1)(1 + popcount(A)) + [bit 1 of U clear]
+                    - popcount(A & C << 1) - popcount(A & C).
+
+So a count does not walk the last three levels: a node three levels short
+of the target adds its children, and each child's children and
+grandchildren, from popcounts, and is not expanded.  Enumeration and the
+split still enter every node, because they need each node's entries or
+state.
 
 Pruning against a target order N cuts subtrees that cannot reach a Skolem
 leaf: length/parity bookkeeping, used lengths within 1..N, a greedy matching
@@ -71,7 +82,6 @@ import math
 import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator
@@ -179,6 +189,16 @@ def _forced_fit(F: int, O: int) -> bool:
     return True
 
 
+def _two_below(O: int, U: int) -> tuple[int, int]:
+    """Children and grandchildren of a node (n, O, U), from popcounts (see
+    the module docstring)."""
+    C = O & ~U
+    c = C.bit_count()
+    A = (O << 1) & ~U
+    grand = (c + 1) * (1 + A.bit_count()) + (not U & 2)
+    return 1 + c, grand - (A & C << 1).bit_count() - (A & C).bit_count()
+
+
 def _walk(
     ent: list[int],
     seed: _Seed,
@@ -198,11 +218,12 @@ def _walk(
     ``cut[0]`` there, without being built.  At full length the walk yields
     (O, U) for every node whose used mask contains ``goal``: 0 takes every
     node.  With ``goal`` None the walk only counts: it yields nothing, takes
-    no ``cut`` and needs a seed short of full length.  A node two levels
-    short, or a seed one level short, adds the nodes of the last levels
-    below it to ``visits`` from popcounts and is not expanded.  The progress
-    heartbeat counts only the nodes the walk enters, so it counts fewer than
-    ``visits`` both there and for the children a parent rejects.
+    no ``cut`` and needs a seed short of full length.  A node three levels
+    short, or a seed one or two levels short, adds the nodes of the last
+    levels below it to ``visits`` from ``_two_below`` and is not expanded.
+    The progress heartbeat counts only the nodes the walk enters, so it
+    counts fewer than ``visits`` both there and for the children a parent
+    rejects.
 
     ``ent[:n]`` holds the seed's entries.  Closing ``*j`` writes both ends of
     its arc, so at each yield ``ent`` holds the node's closed entries; those
@@ -211,7 +232,7 @@ def _walk(
     depth = len(ent)
     order = depth // 2
     full = _lengths(order)
-    stop = depth if goal is not None else depth - 2
+    stop = depth if goal is not None else depth - 3
     beat = PROGRESS_INTERVAL
     t = 0
     stack = [(*seed, 0)]  # (n, O, U, j): j > 0 when the node closed *j
@@ -239,18 +260,25 @@ def _walk(
                 if U & goal == goal:
                     yield O, U
                 continue
-            # a count: the last two levels from popcounts
-            closable = O & ~U
+            # a count: the last three levels from popcounts
             if n == stop:
+                closable = O & ~U
                 visits[n + 1] += 1 + closable.bit_count()
-                s = 1 + ((O << 1 | 2) & ~U).bit_count()
+                s2, s3 = _two_below(O << 1 | 2, U)
                 while closable:
                     b = closable & -closable
                     closable ^= b
-                    s += 1 + ((O ^ b) << 1 & ~(U | b)).bit_count()
-                visits[depth] += s
-            else:
-                visits[depth] += 1 + closable.bit_count()
+                    c2, c3 = _two_below((O ^ b) << 1, U | b)
+                    s2 += c2
+                    s3 += c3
+                visits[n + 2] += s2
+                visits[depth] += s3
+            elif n + 2 == depth:  # a seed two levels short
+                c2, c3 = _two_below(O, U)
+                visits[n + 1] += c2
+                visits[depth] += c3
+            else:  # a seed one level short
+                visits[depth] += 1 + (O & ~U).bit_count()
             continue
         if cut is not None:
             # The parent, or for the seed the check above, decided the other
@@ -466,6 +494,9 @@ def parallel_count(max_order: int, workers: int = 1) -> list[int]:
     prefix, seeds = _split(max_order, workers)
     if len(prefix) == max_order:
         return prefix
+    # Imported here, so a one-worker command never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     tail = [0] * (max_order - len(prefix))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for res in pool.map(_count_below, [(seed, max_order) for seed, _ in seeds]):
@@ -503,6 +534,8 @@ def parallel_enumerate(
     if len(prefix) == 2 * order:
         yield from enumerate_skolem(order, prune)
         return
+
+    from concurrent.futures import ProcessPoolExecutor  # as in parallel_count
 
     # At most 4x workers subtrees (the split's target) run ahead of the
     # reader; if it stops, the rest are never submitted.

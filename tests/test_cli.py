@@ -59,10 +59,29 @@ def test_count_open_resource_failure(monkeypatch, capsys):
     # the walk's first heartbeat runs out of memory, before any count exists
     monkeypatch.setattr(cli.engine, "PROGRESS_INTERVAL", 100)
     monkeypatch.setattr(cli.engine, "print", _out_of_memory, raising=False)
-    assert run(["count-open", "--max-n", "9"]) == 3
+    assert run(["count-open", "--max-n", "10"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "resource" in captured.err
+
+
+def test_one_worker_never_imports_the_process_pool():
+    # the pool, and multiprocessing with it, load only when there are workers
+    code = (
+        "import sys\n"
+        "import skolemgen.cli\n"
+        "pool = {'multiprocessing', 'concurrent.futures'}\n"
+        "print(sorted(pool & set(sys.modules)))\n"
+        "code = skolemgen.cli.main(['count-open', '--max-n', '5', '--workers', '1'])\n"
+        "print(code, sorted(pool & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "n=1 count=1", "n=2 count=2", "n=3 count=4", "n=4 count=8", "n=5 count=20", "0 []",
+    ]
 
 
 def test_count_open_resource_failure_in_a_worker(monkeypatch, capsys):
@@ -391,13 +410,18 @@ def test_sts_sequence_strips_whitespace_and_rejects_open_arcs(capsys):
     assert "open" in capsys.readouterr().err
 
 
-def _cli_process(argv, stdin):
+def _cli_env():
+    """The environment with this package first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _cli_process(argv, stdin):
     return subprocess.Popen(
         [sys.executable, "-m", "skolemgen.cli", *argv],
-        stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
     )
 
 

@@ -53,7 +53,8 @@ def test_full_state_levels_agree_with_compressed_counts():
 
 @pytest.mark.parametrize("workers", [2, 3, 8])
 def test_counts_with_closed_form_tail_match_full_states(workers):
-    # the split puts seeds one or two levels short of some of these targets
+    # the split puts seeds one, two or three levels short of some of these
+    # targets
     for m in range(1, 9):
         sizes = [len(level) for level in iter_level_states(m)]
         assert count_open_levels(m) == sizes
@@ -65,13 +66,40 @@ def test_counts_match_an_enumeration_walk_that_enters_every_level(k):
     assert count_open_levels(2 * k) == dfs_enumerate(k, prune=False).per_level_counts
 
 
-def test_counting_walk_enters_no_node_of_the_last_two_levels(monkeypatch, capsys):
-    # one heartbeat per node entered: the root and levels 1..6 of 8
+def test_counting_walk_enters_no_node_of_the_last_three_levels(monkeypatch, capsys):
+    # one heartbeat per node entered: the root and levels 1..5 of 8
     monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 1)
     count_open_levels(8)
     beats = capsys.readouterr().err.splitlines()
-    assert len(beats) == 1 + sum(OPEN_COUNTS_12[:6]) == 88
+    assert len(beats) == 1 + sum(OPEN_COUNTS_12[:5]) == 36
     assert all("visited" in line for line in beats)
+
+
+def _mask_children(O, U):
+    """Children of a node as (O, U) masks, straight from the growth rules."""
+    yield O << 1 | 2, U
+    closable = O & ~U
+    while closable:
+        b = closable & -closable
+        closable ^= b
+        yield (O ^ b) << 1, U | b
+
+
+def test_closed_form_tail_matches_a_mask_expansion():
+    # every node of levels 0..8 against a brute-force expansion 1..4 levels
+    # below it: a count seed one, two or three levels short, or walked
+    level = [(0, 0)]
+    for n in range(9):
+        for node in level:
+            below = [[node]]
+            for _ in range(4):
+                below.append([c for x in below[-1] for c in _mask_children(*x)])
+            sizes = [len(nodes) for nodes in below[1:]]
+            assert engine._two_below(*node) == (sizes[0], sizes[1])
+            for d in range(1, 5):
+                assert engine._count_below(((n, *node), n + d)) == sizes[:d]
+        level = [c for x in level for c in _mask_children(*x)]
+    assert len(level) == OPEN_COUNTS_12[8]
 
 
 def test_counting_argument_errors():
@@ -89,7 +117,7 @@ def test_memory_failure_reports_partial_counts(monkeypatch):
     monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 100)
     monkeypatch.setattr(engine, "print", _out_of_memory, raising=False)
     with pytest.raises(ResourceExhaustedError) as info:
-        count_open_levels(9)
+        count_open_levels(10)
     assert info.value.partial_counts == []
     assert isinstance(info.value.__cause__, MemoryError)
 
