@@ -119,7 +119,7 @@ class SkolemSequence:
         return len(self.values) // 2
 
     def __str__(self) -> str:
-        return ",".join(str(v) for v in self.values)
+        return ",".join(map(str, self.values))
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,53 @@ thus yields B, the values that fail it: with two or more, every child is
 cut; with B = {v}, only "close *v" lives, and it exists, because the parent
 passed: popcount(free >> v) >= rank(v) > popcount(free >> (v+1)), so length
 v is unused; with B empty, every closer lives, and the opener lives unless
-the room test fails.  A pushed child then needs only the forced-length test
-on entry.
+the room test fails.
+
+Position sums.  Take a node (n, O, U) with target order N and L = 2N: p =
+popcount(O) arcs are open and m = (L - n - p)/2 remain to open.  Let P =
+(n+1) + ... + L, S the sum of the open arcs' start positions (*v starts at
+n+1-v), F the sum of the unused lengths, and lo the sum of the m smallest
+of them.  In a completion each open arc closes at a distinct position q,
+with length q - s; each new arc takes a start a and an end b, with length
+b - a; and the positions n+1..L and the unused lengths are each used
+exactly once.  So sum(q) + sum(a) + sum(b) = P and
+sum(q) - S + sum(b) - sum(a) = F, which gives
+
+    T := P - S - F = 2 sum(a),
+
+twice the start sum of the arcs still to open.  A closer keeps T; an opener
+lowers it by 2(n+1).  The node is cut unless all three bounds hold:
+
+  (a) the starts are distinct and after n:  T >= m(2n+m+1);
+  (b) the ends are distinct and <= L, and sum(b) - sum(a) >= lo:
+      2 lo <= 2mL - m(m-1) - T;
+  (c) the closings are distinct and after n, with
+      sum(q) = P - T/2 - sum(b):
+      2 lo <= 2(P-T) - p(2n+p+1).
+
+A fourth bound, that the ends are distinct and after n+1, reads
+m(2n+m+3) - T <= 2(P-T) - p(2n+p+1).  It cuts nothing: (a) makes its left
+side at most 2m, and (c) makes the right side at least 2 lo >= m(m+1).
+Each of (a), (b) and (c) does cut: without it, order 10 visits 217,314,
+195,650 and 134,556 nodes rather than 134,279.
+
+They never read T mod 2.  For N = 2, 3 (mod 4), T is odd at the root and
+so at every node, and a node with m = 0 needs T = 0 by (a) and (b).  With
+those nodes exempt, the walk would still drop to 259,890 visits at order 10
+and 64,284 at order 9 (from 521,382 and 93,383; 134,279 and 50,309 with
+them).
+
+The pruned walk decides these checks for every child at the parent, too.
+Every closer child has length n+1, p-1 open arcs, the same m and the same T,
+so (a) holds for all of them or for none.  Closing *j changes lo only
+when j is one of the m smallest unused lengths (the mask ``low``): then lo
+becomes lo - j + f(m+1), with f(k) the k-th smallest unused length.  So the
+closers that fail (b) or (c) are those in ``low`` below one threshold.  The
+opener child has m-1 arcs to open, T - 2(n+1), and lo - f(m).  The walk
+carries T, ``low`` and lo on its stack: an opener drops low's top bit, and
+a closer *j with j in ``low`` swaps bit j for bit f(m+1).  A pushed child
+then needs only the forced-length test on entry; a seed runs all of
+``_feasible`` and computes T, ``low`` and lo from scratch.
 """
 
 from __future__ import annotations
@@ -156,7 +201,12 @@ def _feasible(n: int, O: int, U: int, order: int) -> bool:
       * the open values, which must eventually close at distinct unused
         lengths no smaller than their current value, must match injectively
         into {1..N} minus the used set: the k-th largest open value needs
-        k unused lengths at or above it (the greedy largest-to-largest check).
+        k unused lengths at or above it (the greedy largest-to-largest check);
+      * position sums: the node fixes T, twice the sum of the start
+        positions of the arcs still to open, and checks (a)-(c) of the
+        module docstring bound it (``_sum_bounds``).  They never read T's
+        parity; for N = 2, 3 (mod 4) T is odd, so they cut every node with
+        no arc left to open, which needs T = 0.
     """
     R = 2 * order - n
     rem = R - O.bit_count()
@@ -166,13 +216,48 @@ def _feasible(n: int, O: int, U: int, order: int) -> bool:
     if not _forced_fit(free >> R, O):
         return False
     k = 0
-    while O:
-        j = O.bit_length() - 1
-        O ^= 1 << j
+    rest = O
+    while rest:
+        j = rest.bit_length() - 1
+        rest ^= 1 << j
         k += 1
         if (free >> j).bit_count() < k:
             return False
-    return True
+    T, _, lo = _position_sums(n, O, U, order)
+    tmin, bl, cl = _sum_bounds(n, k, 2 * order)
+    return T >= tmin and 2 * lo <= min(bl - T, cl - 2 * T)
+
+
+def _position_sums(n: int, O: int, U: int, order: int) -> tuple[int, int, int]:
+    """T, ``low`` and ``lo`` of a node (n, O, U) that passes the room and
+    range tests: T = P - S - F, the mask ``low`` of the m smallest unused
+    lengths, and their sum ``lo`` (see the module docstring)."""
+    L = 2 * order
+    p = O.bit_count()
+    # S = p(n+1) - (sum of the open values), F = N(N+1)/2 - (sum of U)
+    T = (L * (L + 1) - n * (n + 1) - order * (order + 1)) // 2 - p * (n + 1)
+    for mask in (O, U):
+        while mask:
+            b = mask & -mask
+            mask ^= b
+            T += b.bit_length() - 1
+    free = ~U & _lengths(order)
+    low = lo = 0
+    for _ in range((L - n - p) >> 1):
+        b = free & -free
+        free ^= b
+        low |= b
+        lo += b.bit_length() - 1
+    return T, low, lo
+
+
+def _sum_bounds(n: int, p: int, L: int) -> tuple[int, int, int]:
+    """The constants of checks (a)-(c) at a node of length n with p open
+    arcs, towards length L: (tmin, bl, cl) such that the node passes iff
+    T >= tmin and 2 lo <= min(bl - T, cl - 2T)."""
+    m = (L - n - p) >> 1
+    cl = L * (L + 1) - n * (n + 1) - p * (2 * n + p + 1)  # 2P - p(2n+p+1)
+    return m * (2 * n + m + 1), 2 * m * L - m * (m - 1), cl
 
 
 def _forced_fit(F: int, O: int) -> bool:
@@ -212,8 +297,11 @@ def _walk(
     increasing j.  ``visits[m]`` counts the nodes at length m.  With ``cut``
     given, pruning is against order ``len(ent) // 2``: a seed short of full
     length runs all of ``_feasible``, and a node the walk pushes runs only
-    its forced-length test, because its parent decided the others (see the
-    module docstring).  A node that fails is counted in ``cut[0]`` and not
+    its forced-length test, because its parent decided the others: the
+    room, range and greedy tests by one rank pass, and the position-sum
+    checks (a)-(c) from the T, ``low`` and lo it carries on the stack and
+    pushes with each child (see the module docstring).  The checks never
+    read T's parity.  A node that fails is counted in ``cut[0]`` and not
     expanded; a child its parent rejects is added to ``visits`` and
     ``cut[0]`` there, without being built.  At full length the walk yields
     (O, U) for every node whose used mask contains ``goal``: 0 takes every
@@ -235,16 +323,25 @@ def _walk(
     stop = depth if goal is not None else depth - 3
     beat = PROGRESS_INTERVAL
     t = 0
-    stack = [(*seed, 0)]  # (n, O, U, j): j > 0 when the node closed *j
+    # (n, O, U, j, T, low, lo): j > 0 when the node closed *j; the pruned
+    # walk carries the node's position sums, other walks zeros
+    stack = [(*seed, 0, 0, 0, 0)]
     pop, push = stack.pop, stack.append
-    if cut is not None and seed[0] < depth and not _feasible(*seed, order):
+    if cut is not None and seed[0] < depth:
         # A seed may come from an unpruned walk (a ``_split`` node), so it
         # runs every test; a node the walk pushes runs only the forced one.
-        visits[seed[0]] += 1
-        cut[0] += 1
-        return
+        if not _feasible(*seed, order):
+            visits[seed[0]] += 1
+            cut[0] += 1
+            return
+        stack[0] = (*seed, 0, *_position_sums(*seed, order))
+        # checks (a)-(c) of a child of length i with m arcs to open
+        bounds = [
+            [_sum_bounds(i, depth - i - 2 * m, depth) for m in range((depth - i) // 2 + 1)]
+            for i in range(depth + 1)
+        ]
     while stack:
-        n, O, U, j = pop()
+        n, O, U, j, T, low, lo = pop()
         if j:
             ent[n - 1] = ent[n - 1 - j] = j
         visits[n] += 1
@@ -302,28 +399,54 @@ def _walk(
                         B |= 1 << v
                         if B & (B - 1):
                             break
-                if B:
-                    # Only "close *v" can live, and only if v is the one
-                    # value in B; the other children are counted as cut.
-                    skipped = 1 + (O & ~U).bit_count()
-                    if not B & (B - 1):
-                        skipped -= 1
-                        push((n + 1, (O ^ B) << 1, U | B, B.bit_length() - 1))
-                    visits[n + 1] += skipped
+                closable = O & ~U
+                skipped = 1 + closable.bit_count()
+                n += 1
+                if B & (B - 1):  # every child fails
+                    visits[n] += skipped
                     cut[0] += skipped
                     continue
-                if depth - n == O.bit_count():
-                    # The open arcs fill the remaining positions: no opener.
-                    visits[n + 1] += 1
-                    cut[0] += 1
-                    n += 1
-                    closable = O & ~U
-                    while closable:
-                        j = closable.bit_length() - 1
-                        b = 1 << j
-                        closable ^= b
-                        push((n, (O ^ b) << 1, U | b, j))
-                    continue
+                if B:  # only "close *v" can live
+                    closable = B
+                m = (depth - n + 1 - k) >> 1  # k = p, as no value broke the pass
+                if closable:
+                    # Every closer keeps m and T, and its lo exceeds lo by
+                    # f(m+1) - j when j is in low: the closers that fail
+                    # checks (b) and (c) are those in low below a threshold.
+                    tmin, bl, cl = bounds[n][m]
+                    cap = min(bl - T, cl - 2 * T) >> 1 if T >= tmin else -1
+                    if lo > cap:
+                        closable = 0
+                    elif closable & low:
+                        g = free & ~low
+                        g &= -g  # the bit of f(m+1)
+                        f = g.bit_length() - 1
+                        if lo + f > cap:
+                            closable &= ~low | -(1 << (lo + f - cap))
+                skipped -= closable.bit_count()
+                # The stack pops last-pushed first: closers by decreasing j,
+                # then the opener.
+                while closable:
+                    j = closable.bit_length() - 1
+                    b = 1 << j
+                    closable ^= b
+                    if low & b:
+                        push((n, (O ^ b) << 1, U | b, j, T, low ^ b | g, lo - j + f))
+                    else:
+                        push((n, (O ^ b) << 1, U | b, j, T, low, lo))
+                if not B and m:
+                    # The opener starts an arc at n: m - 1 arcs left to open,
+                    # and the largest of the m smallest lengths leaves low.
+                    f = low.bit_length() - 1
+                    T -= 2 * n
+                    tmin, bl, cl = bounds[n][m - 1]
+                    if T >= tmin and 2 * (lo - f) <= min(bl - T, cl - 2 * T):
+                        skipped -= 1
+                        push((n, O << 1 | 2, U, 0, T, low ^ 1 << f, lo - f))
+                if skipped:
+                    visits[n] += skipped
+                    cut[0] += skipped
+                continue
         n += 1
         # The stack pops last-pushed first: closers by decreasing j, then the opener.
         closable = O & ~U
@@ -331,8 +454,8 @@ def _walk(
             j = closable.bit_length() - 1
             b = 1 << j
             closable ^= b
-            push((n, (O ^ b) << 1, U | b, j))
-        push((n, (O << 1) | 2, U, 0))
+            push((n, (O ^ b) << 1, U | b, j, 0, 0, 0))
+        push((n, (O << 1) | 2, U, 0, 0, 0, 0))
 
 
 def _split(

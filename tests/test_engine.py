@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from skolemgen import engine
+from skolemgen import engine, oracle
 from skolemgen.core import (
     EMPTY_STATE,
     OpenState,
@@ -15,6 +15,7 @@ from skolemgen.core import (
     is_skolem_label,
     parent,
     parse_state,
+    skolem_violation,
     state_from_sequence,
 )
 from skolemgen.engine import (
@@ -219,9 +220,10 @@ def test_prune_room_and_parity():
 
 
 def test_prune_star_too_large():
-    s = parse_state("*5,*4,*3,*2,*1")
+    s = parse_state("*5,2,*3,2,*1")  # a prefix of 5,2,4,2,3,5,4,3,1,1
     assert not prune_feasible(s, 4)  # *5 cannot close at length <= 4
     assert prune_feasible(s, 5)
+    assert _has_skolem_descendant(s, 5)
 
 
 def test_prune_root_always_feasible():
@@ -238,12 +240,14 @@ def test_prune_used_length_above_target():
 def test_prune_greedy_matching_catches_collision():
     # two open arcs whose closures both need length 2: *2 and *1 with 1 used
     s = parse_state("*2,*1")
-    assert prune_feasible(s, 2)
-    t = parse_state("1,1,*2,*1")
+    assert prune_feasible(s, 4)
+    assert _has_skolem_descendant(s, 4)
+    t = parse_state("1,1,*2,*1")  # a prefix of 1,1,4,2,3,2,4,3
     # *2 and *1 can close at lengths 2,3,4 but not both at distinct unused
     # lengths <= 2 once length 1 is gone
     assert not prune_feasible(t, 2)
-    assert prune_feasible(t, 3)
+    assert prune_feasible(t, 4)
+    assert _has_skolem_descendant(t, 4)
 
 
 def _ancestors(values):
@@ -255,9 +259,11 @@ def _ancestors(values):
     return chain
 
 
-def test_prune_keeps_every_ancestor_of_a_real_sequence():
-    targets = {4: oracle_enumerate(4), 5: oracle_enumerate(5)}
-    targets[8] = list(enumerate_skolem(8))[:3]
+def test_prune_keeps_every_ancestor_of_a_real_sequence(monkeypatch):
+    # the placement oracle takes order 8 in milliseconds
+    monkeypatch.setattr(oracle, "ORACLE_ORDER_LIMIT", 8)
+    targets = {order: oracle_enumerate(order) for order in (4, 5, 8)}
+    assert len(targets[8]) == 504
     for order, seqs in targets.items():
         for w in seqs:
             for s in _ancestors(w.values):
@@ -285,8 +291,10 @@ def test_prune_rejections_are_sound_for_order4():
 def test_prune_forced_length_cut():
     # four positions remain, so a new arc spans at most 3: the unused length
     # 4 needs an open arc, and none is open
-    assert not prune_feasible(parse_state("3,1,1,3"), 4)
-    assert prune_feasible(parse_state("3,1,1,3"), 5)
+    s = parse_state("3,1,1,3")  # a prefix of 3,1,1,3,8,5,7,2,6,2,5,4,8,7,6,4
+    assert not prune_feasible(s, 4)
+    assert prune_feasible(s, 8)
+    assert _has_skolem_descendant(s, 8)
     # three positions remain: the unused lengths 3 and 4 both need an open
     # arc, and only *2 is open
     assert not prune_feasible(parse_state("1,1,2,*2,2"), 4)
@@ -312,6 +320,25 @@ def test_every_node_the_prune_rejects_has_no_skolem_leaf_below(order):
         below = engine._walk([0] * depth, node, [0] * (depth + 1), engine._lengths(order))
         assert next(below, None) is None, node
     assert rejected or order == 1
+
+
+def test_prune_position_sums_cut_what_the_other_tests_keep():
+    # "3,1,1,3" at order 5: no open arc, unused lengths {2, 4, 5}, so m = 3
+    # arcs start after position 4; P = 5 + ... + 10 = 45 and F = 11 give
+    # T = 34 = twice their start sum, below 3 * (2*4 + 3 + 1) = 36: check (a)
+    s = parse_state("3,1,1,3")
+    assert engine._position_sums(4, 0, 0b1010, 5) == (34, 0b110100, 11)
+    assert 34 < 3 * (2 * 4 + 3 + 1)
+    assert not prune_feasible(s, 5)
+    assert not _has_skolem_descendant(s, 5)
+    # "*5,*4,*3,*2,*1" at order 5: the arcs open at positions 1..5 must close
+    # at 6..10, so m = 0; P = 40, S = 15, F = 15 and T = 10, and check (c)
+    # needs 2 * 0 <= 2(P - T) - p(2n + p + 1) = 60 - 80
+    t = parse_state("*5,*4,*3,*2,*1")
+    assert engine._position_sums(5, 0b111110, 0, 5) == (10, 0, 0)
+    assert 2 * (40 - 10) - 5 * (2 * 5 + 5 + 1) < 0
+    assert not prune_feasible(t, 5)
+    assert not _has_skolem_descendant(t, 5)
 
 
 def test_prune_rejects_bad_target():
@@ -396,22 +423,22 @@ def test_report_summary_shape():
 
 # ---------------------------------------------------------------------------
 # frozen search figures: the pruned walk visits and cuts exactly these nodes.
-# The *_BEFORE lists are the figures from before the forced-length cut in
+# The *_BEFORE lists are the figures from before the position-sum test in
 # ``_feasible``; a sound extra cut may only lower a level's visits.
 
 ORDER8_VISITS_BEFORE = [
-    1, 2, 4, 8, 20, 52, 146, 430, 1306, 2036, 3224, 4469, 5802, 5876, 4204, 2172,
+    1, 2, 4, 8, 20, 52, 146, 430, 1277, 1856, 2734, 3301, 3344, 1972, 956, 1008,
 ]
 ORDER8_VISITS = [
-    1, 2, 4, 8, 20, 52, 146, 430, 1277, 1856, 2734, 3301, 3344, 1972, 956, 1008,
+    1, 2, 4, 8, 20, 52, 134, 314, 682, 1008, 1318, 1506, 1272, 1004, 956, 1008,
 ]
 ORDER9_VISITS_BEFORE = [
     1, 2, 4, 8, 20, 52, 146, 430, 1306, 4176,
-    7190, 12139, 19087, 27284, 34986, 35136, 24274, 11740,
+    7045, 10787, 14783, 17901, 16628, 9770, 5012, 5312,
 ]
 ORDER9_VISITS = [
-    1, 2, 4, 8, 20, 52, 146, 430, 1306, 4176,
-    7045, 10787, 14783, 17901, 16628, 9770, 5012, 5312,
+    1, 2, 4, 8, 20, 52, 144, 410, 1039, 2260,
+    3810, 5496, 7122, 7702, 6557, 5358, 5012, 5312,
 ]
 
 
@@ -419,8 +446,8 @@ def test_pruned_walk_figures_order8():
     r = dfs_enumerate(8)
     assert r.per_level_counts == ORDER8_VISITS
     assert all(a <= b for a, b in zip(ORDER8_VISITS, ORDER8_VISITS_BEFORE, strict=True))
-    assert sum(r.per_level_counts) == 17111  # 29752 before
-    assert r.pruned_nodes == 9398  # 12182 before
+    assert sum(r.per_level_counts) == 9289  # 17111 before; 29752 before forced lengths
+    assert r.pruned_nodes == 4161  # 9398 before; 12182 before forced lengths
     assert r.skolem_count == 504
 
 
@@ -428,8 +455,8 @@ def test_pruned_walk_figures_order9():
     r = dfs_enumerate(9)
     assert r.per_level_counts == ORDER9_VISITS
     assert all(a <= b for a, b in zip(ORDER9_VISITS, ORDER9_VISITS_BEFORE, strict=True))
-    assert sum(r.per_level_counts) == 93383  # 177981 before
-    assert r.pruned_nodes == 51659  # 73360 before
+    assert sum(r.per_level_counts) == 50309  # 93383 before; 177981 before forced lengths
+    assert r.pruned_nodes == 22920  # 51659 before; 73360 before forced lengths
     assert r.skolem_count == 2656
 
 
@@ -475,35 +502,46 @@ def test_pruned_walk_from_any_seed_matches_a_level_sweep(order):
             assert (visits[n + 1:], cut[0], leaves) == _pruned_sweep(order, s), str(s)
 
 
-# frozen before the matching test moved to the parent, which moves no figure
-ORDER10_VISITS = [
+ORDER10_VISITS_BEFORE = [
     1, 2, 4, 8, 20, 52, 146, 430, 1306, 4176,
     13687, 24410, 42085, 64779, 89419, 104370, 90515, 58394, 27578, 0,
+]
+ORDER10_VISITS = [
+    1, 2, 4, 8, 20, 52, 146, 430, 1231, 3172,
+    7344, 12735, 19461, 26367, 29936, 23004, 8838, 1528, 0, 0,
 ]
 
 
 def test_pruned_walk_figures_order10():
     r = dfs_enumerate(10)
     assert r.per_level_counts == ORDER10_VISITS
-    assert sum(r.per_level_counts) == 521382
-    assert r.pruned_nodes == 326423
+    assert all(a <= b for a, b in zip(ORDER10_VISITS, ORDER10_VISITS_BEFORE, strict=True))
+    assert sum(r.per_level_counts) == 134279  # 521382 before
+    assert r.pruned_nodes == 80188  # 326423 before
     assert r.skolem_count == 0
 
 
-ORDER17_FIRST_LEAF_VISITS = [
+# Up to a leaf, ``visits`` also holds the children a parent cut after the
+# leaf in canonical order, so only the entered nodes shrink level by level;
+# levels 25 and 26 each count one node more than before.
+ORDER17_FIRST_LEAF_VISITS_BEFORE = [
     1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 15, 164, 1619, 14240, 112824,
     821836, 596651, 131672, 6034, 2, 1, 1, 1, 1, 1, 2, 8, 22, 39, 8, 2, 2,
+]
+ORDER17_FIRST_LEAF_VISITS = [
+    1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 6, 5, 4, 4,
+    5, 3, 2, 6, 2, 1, 1, 2, 2, 1, 2, 3, 2, 4, 2, 2, 2,
 ]
 
 
 def _walk_too_long(*args, **kwargs):
-    raise AssertionError("the walk entered a million nodes")
+    raise AssertionError("the walk entered too many nodes")
 
 
 def test_pruned_walk_figures_up_to_the_first_order17_leaf(monkeypatch):
-    # The walk enters fewer than 800,000 nodes before this leaf; a walk that
+    # The walk enters fewer than 100 nodes before this leaf; a walk that
     # cuts a path to it would run on for hours, so its heartbeat stops it.
-    monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 1_000_000)
+    monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 1_000)
     monkeypatch.setattr(engine, "print", _walk_too_long, raising=False)
     visits, cut = [0] * 35, [0]
     first = next(engine._leaves(engine._ROOT, (), 17, visits, cut))
@@ -512,8 +550,33 @@ def test_pruned_walk_figures_up_to_the_first_order17_leaf(monkeypatch):
         17, 16, 12, 14, 13, 8, 5, 7, 2, 6, 2, 5, 4, 8, 7, 6, 4,
     )
     assert visits[1:] == ORDER17_FIRST_LEAF_VISITS
-    assert sum(visits[1:]) == 1685158
-    assert cut[0] == 1426444
+    assert sum(visits[1:]) == 76 < sum(ORDER17_FIRST_LEAF_VISITS_BEFORE) == 1685158
+    assert cut[0] == 39  # 1426444 before
+
+
+ORDER20_FIRST_LEAF = (
+    20, 18, 19, 15, 12, 10, 11, 16, 17, 13, 14, 3, 1, 1, 3, 10, 12, 11, 15, 18,
+    20, 19, 13, 16, 14, 17, 9, 6, 4, 5, 7, 8, 4, 6, 5, 9, 2, 7, 2, 8,
+)
+ORDER21_FIRST_LEAF = (
+    21, 19, 20, 16, 14, 11, 9, 10, 18, 15, 17, 12, 13, 1, 1, 9, 11, 10, 14, 16, 19,
+    21, 20, 12, 15, 13, 18, 17, 6, 8, 5, 2, 7, 2, 6, 5, 4, 8, 3, 7, 4, 3,
+)
+
+
+def test_first_leaf_of_every_admissible_order_16_to_49(monkeypatch):
+    # the orders 20 and 21 leaves are frozen from the walk before the
+    # position-sum test; none of these walks enters 100,000 nodes
+    monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 100_000)
+    monkeypatch.setattr(engine, "print", _walk_too_long, raising=False)
+    first = {}
+    for order in range(16, 50):
+        if order % 4 in (0, 1):
+            first[order] = next(enumerate_skolem(order)).values
+            assert skolem_violation(first[order]) is None
+            assert len(first[order]) == 2 * order
+    assert first[20] == ORDER20_FIRST_LEAF
+    assert first[21] == ORDER21_FIRST_LEAF
 
 
 def test_parallel_enumeration_order8_in_canonical_order():
