@@ -40,13 +40,8 @@ state.
 
 Pruning against a target order N cuts subtrees that cannot reach a Skolem
 leaf: length/parity bookkeeping, used lengths within 1..N, a greedy matching
-of open values into the unused lengths, and a forced-length test.  An open
-value *v grows by one per position, so with R = 2N - n positions left it can
-still close at any length in v..v+R-1; a new arc fits in R positions, so its
-length is at most R-1.  An unused length r >= R can therefore only be taken
-by an open arc with v in r-R+1..r, and distinct such lengths need distinct
-arcs: the k-th largest of them needs k open values >= its r-R+1.  Each test
-is individually sound, so pruned and unpruned enumeration emit the same
+of open values into the unused lengths, and position sums (below).  Each
+test is individually sound, so pruned and unpruned enumeration emit the same
 sequences.
 
 The pruned walk decides the room, range and greedy tests of every child at
@@ -99,14 +94,14 @@ lowers it by 2(n+1).  The node is cut unless all three bounds hold:
 A fourth bound, that the ends are distinct and after n+1, reads
 m(2n+m+3) - T <= 2(P-T) - p(2n+p+1).  It cuts nothing: (a) makes its left
 side at most 2m, and (c) makes the right side at least 2 lo >= m(m+1).
-Each of (a), (b) and (c) does cut: without it, order 10 visits 217,314,
-195,650 and 134,556 nodes rather than 134,279.
+Each of (a), (b) and (c) does cut: without it, order 10 visits 445,274,
+213,821 and 140,664 nodes rather than 140,387.
 
 They never read T mod 2.  For N = 2, 3 (mod 4), T is odd at the root and
 so at every node, and a node with m = 0 needs T = 0 by (a) and (b).  With
-those nodes exempt, the walk would still drop to 259,890 visits at order 10
-and 64,284 at order 9 (from 521,382 and 93,383; 134,279 and 50,309 with
-them).
+every node that has m = 0 exempt from the checks, the walk would still drop
+to 268,545 visits at order 10 and 67,514 at order 9 (from 1,154,800 and
+177,981 without the checks; 140,387 and 53,439 with them).
 
 The pruned walk decides these checks for every child at the parent, too.
 Every closer child has length n+1, p-1 open arcs, the same m and the same T,
@@ -116,9 +111,9 @@ becomes lo - j + f(m+1), with f(k) the k-th smallest unused length.  So the
 closers that fail (b) or (c) are those in ``low`` below one threshold.  The
 opener child has m-1 arcs to open, T - 2(n+1), and lo - f(m).  The walk
 carries T, ``low`` and lo on its stack: an opener drops low's top bit, and
-a closer *j with j in ``low`` swaps bit j for bit f(m+1).  A pushed child
-then needs only the forced-length test on entry; a seed runs all of
-``_feasible`` and computes T, ``low`` and lo from scratch.
+a closer *j with j in ``low`` swaps bit j for bit f(m+1).  So a pushed child
+needs no test on entry; a seed runs all of ``_feasible`` and computes T,
+``low`` and lo from scratch.
 """
 
 from __future__ import annotations
@@ -151,7 +146,14 @@ class ResourceExhaustedError(RuntimeError):
 
 @dataclass
 class EnumerationReport:
-    """Outcome of one tree traversal towards a target order."""
+    """Outcome of one tree traversal towards a target order.
+
+    ``per_level_counts[i]`` counts the nodes of length i+1 that the walk
+    settled: each one was entered, or was cut at its parent without being
+    built.  ``pruned_nodes`` counts the cut ones, so the walk entered
+    exactly 1 + sum(per_level_counts) - pruned_nodes nodes, the root
+    included.
+    """
 
     target_order: int
     per_level_counts: list[int] = field(default_factory=list)
@@ -197,7 +199,6 @@ def _feasible(n: int, O: int, U: int, order: int) -> bool:
         positions remain needs 2N - n - p >= 0 and even;
       * every used length must lie in 1..N;
       * no open value may exceed N;
-      * forced lengths (``_forced_fit``);
       * the open values, which must eventually close at distinct unused
         lengths no smaller than their current value, must match injectively
         into {1..N} minus the used set: the k-th largest open value needs
@@ -207,14 +208,14 @@ def _feasible(n: int, O: int, U: int, order: int) -> bool:
         module docstring bound it (``_sum_bounds``).  They never read T's
         parity; for N = 2, 3 (mod 4) T is odd, so they cut every node with
         no arc left to open, which needs T = 0.
+
+    The pruned walk decides every test of a node at its parent, so it calls
+    this only on a seed.
     """
-    R = 2 * order - n
-    rem = R - O.bit_count()
+    rem = 2 * order - n - O.bit_count()
     if rem < 0 or rem & 1 or (O | U) >> (order + 1):
         return False
     free = ~U & ((2 << order) - 2)  # _lengths(order), without a call per node
-    if not _forced_fit(free >> R, O):
-        return False
     k = 0
     rest = O
     while rest:
@@ -260,20 +261,6 @@ def _sum_bounds(n: int, p: int, L: int) -> tuple[int, int, int]:
     return m * (2 * n + m + 1), 2 * m * L - m * (m - 1), cl
 
 
-def _forced_fit(F: int, O: int) -> bool:
-    """The forced-length test (see the module docstring).  With R positions
-    left, bit i of ``F`` is the unused length i + R, too long for a new arc:
-    the k-th largest such length needs k open values >= i + 1 in ``O``."""
-    k = 0
-    while F:
-        i = F.bit_length() - 1
-        F ^= 1 << i
-        k += 1
-        if (O >> (i + 1)).bit_count() < k:
-            return False
-    return True
-
-
 def _two_below(O: int, U: int) -> tuple[int, int]:
     """Children and grandchildren of a node (n, O, U), from popcounts (see
     the module docstring)."""
@@ -294,24 +281,29 @@ def _walk(
     """Depth-first walk from ``seed`` = (n, O, U) to length ``len(ent)``.
 
     Children are popped in canonical order: the opener, then the closers by
-    increasing j.  ``visits[m]`` counts the nodes at length m.  With ``cut``
-    given, pruning is against order ``len(ent) // 2``: a seed short of full
-    length runs all of ``_feasible``, and a node the walk pushes runs only
-    its forced-length test, because its parent decided the others: the
+    increasing j.  ``visits[m]`` counts the nodes at length m that the walk
+    settled.  With ``cut`` given, pruning is against order ``len(ent) // 2``:
+    a seed short of full length runs all of ``_feasible``, and a node the
+    walk pushes runs no test, because its parent decided them all: the
     room, range and greedy tests by one rank pass, and the position-sum
     checks (a)-(c) from the T, ``low`` and lo it carries on the stack and
     pushes with each child (see the module docstring).  The checks never
-    read T's parity.  A node that fails is counted in ``cut[0]`` and not
-    expanded; a child its parent rejects is added to ``visits`` and
-    ``cut[0]`` there, without being built.  At full length the walk yields
-    (O, U) for every node whose used mask contains ``goal``: 0 takes every
-    node.  With ``goal`` None the walk only counts: it yields nothing, takes
-    no ``cut`` and needs a seed short of full length.  A node three levels
-    short, or a seed one or two levels short, adds the nodes of the last
-    levels below it to ``visits`` from ``_two_below`` and is not expanded.
-    The progress heartbeat counts only the nodes the walk enters, so it
-    counts fewer than ``visits`` both there and for the children a parent
-    rejects.
+    read T's parity.  A child its parent rejects, or a seed that fails, is
+    added to ``visits`` and ``cut[0]`` without being entered.  So each node
+    that a walk towards full length counts in ``visits`` was either entered
+    or cut, never both, and ``sum(visits)`` less the cuts is exactly the
+    number of nodes entered.  A walk stopped at a leaf has settled the nodes
+    it entered up to the leaf and every child their parents cut, those after
+    the leaf in canonical order too, but not the pushed children it never
+    entered.
+
+    At full length the walk yields (O, U) for every node whose used mask
+    contains ``goal``: 0 takes every node.  With ``goal`` None the walk only
+    counts: it yields nothing, takes no ``cut`` and needs a seed short of
+    full length.  A node three levels short, or a seed one or two levels
+    short, adds the nodes of the last levels below it to ``visits`` from
+    ``_two_below`` and is not expanded; those nodes are settled but not
+    entered.  The progress heartbeat counts the nodes the walk enters.
 
     ``ent[:n]`` holds the seed's entries.  Closing ``*j`` writes both ends of
     its arc, so at each yield ``ent`` holds the node's closed entries; those
@@ -329,7 +321,7 @@ def _walk(
     pop, push = stack.pop, stack.append
     if cut is not None and seed[0] < depth:
         # A seed may come from an unpruned walk (a ``_split`` node), so it
-        # runs every test; a node the walk pushes runs only the forced one.
+        # runs every test; a node the walk pushes runs none.
         if not _feasible(*seed, order):
             visits[seed[0]] += 1
             cut[0] += 1
@@ -377,76 +369,72 @@ def _walk(
             else:  # a seed one level short
                 visits[depth] += 1 + (O & ~U).bit_count()
             continue
-        if cut is not None:
-            # The parent, or for the seed the check above, decided the other
-            # tests; see the module docstring.
+        if cut is not None and n + 1 < depth:
+            # The parent, or for the seed the check above, decided every
+            # test of this node; see the module docstring.
             free = ~U & full
-            if not _forced_fit(free >> (depth - n), O):
-                cut[0] += 1
+            # One rank pass over the open values decides every child's
+            # room, range and greedy tests: B collects (up to two of) the
+            # values v of rank k with fewer than k unused lengths >= v+1.
+            B = 0
+            k = 0
+            rest = O
+            while rest:
+                v = rest.bit_length() - 1
+                rest ^= 1 << v
+                k += 1
+                if (free >> (v + 1)).bit_count() < k:
+                    B |= 1 << v
+                    if B & (B - 1):
+                        break
+            closable = O & ~U
+            skipped = 1 + closable.bit_count()
+            n += 1
+            if B & (B - 1):  # every child fails
+                visits[n] += skipped
+                cut[0] += skipped
                 continue
-            if n + 1 < depth:
-                # One rank pass over the open values decides every child's
-                # room, range and greedy tests: B collects (up to two of) the
-                # values v of rank k with fewer than k unused lengths >= v+1.
-                B = 0
-                k = 0
-                rest = O
-                while rest:
-                    v = rest.bit_length() - 1
-                    rest ^= 1 << v
-                    k += 1
-                    if (free >> (v + 1)).bit_count() < k:
-                        B |= 1 << v
-                        if B & (B - 1):
-                            break
-                closable = O & ~U
-                skipped = 1 + closable.bit_count()
-                n += 1
-                if B & (B - 1):  # every child fails
-                    visits[n] += skipped
-                    cut[0] += skipped
-                    continue
-                if B:  # only "close *v" can live
-                    closable = B
-                m = (depth - n + 1 - k) >> 1  # k = p, as no value broke the pass
-                if closable:
-                    # Every closer keeps m and T, and its lo exceeds lo by
-                    # f(m+1) - j when j is in low: the closers that fail
-                    # checks (b) and (c) are those in low below a threshold.
-                    tmin, bl, cl = bounds[n][m]
-                    cap = min(bl - T, cl - 2 * T) >> 1 if T >= tmin else -1
-                    if lo > cap:
-                        closable = 0
-                    elif closable & low:
-                        g = free & ~low
-                        g &= -g  # the bit of f(m+1)
-                        f = g.bit_length() - 1
-                        if lo + f > cap:
-                            closable &= ~low | -(1 << (lo + f - cap))
-                skipped -= closable.bit_count()
-                # The stack pops last-pushed first: closers by decreasing j,
-                # then the opener.
-                while closable:
-                    j = closable.bit_length() - 1
-                    b = 1 << j
-                    closable ^= b
-                    if low & b:
-                        push((n, (O ^ b) << 1, U | b, j, T, low ^ b | g, lo - j + f))
-                    else:
-                        push((n, (O ^ b) << 1, U | b, j, T, low, lo))
-                if not B and m:
-                    # The opener starts an arc at n: m - 1 arcs left to open,
-                    # and the largest of the m smallest lengths leaves low.
-                    f = low.bit_length() - 1
-                    T -= 2 * n
-                    tmin, bl, cl = bounds[n][m - 1]
-                    if T >= tmin and 2 * (lo - f) <= min(bl - T, cl - 2 * T):
-                        skipped -= 1
-                        push((n, O << 1 | 2, U, 0, T, low ^ 1 << f, lo - f))
-                if skipped:
-                    visits[n] += skipped
-                    cut[0] += skipped
-                continue
+            if B:  # only "close *v" can live
+                closable = B
+            m = (depth - n + 1 - k) >> 1  # k = p, as no value broke the pass
+            if closable:
+                # Every closer keeps m and T, and its lo exceeds lo by
+                # f(m+1) - j when j is in low: the closers that fail
+                # checks (b) and (c) are those in low below a threshold.
+                tmin, bl, cl = bounds[n][m]
+                cap = min(bl - T, cl - 2 * T) >> 1 if T >= tmin else -1
+                if lo > cap:
+                    closable = 0
+                elif closable & low:
+                    g = free & ~low
+                    g &= -g  # the bit of f(m+1)
+                    f = g.bit_length() - 1
+                    if lo + f > cap:
+                        closable &= ~low | -(1 << (lo + f - cap))
+            skipped -= closable.bit_count()
+            # The stack pops last-pushed first: closers by decreasing j,
+            # then the opener.
+            while closable:
+                j = closable.bit_length() - 1
+                b = 1 << j
+                closable ^= b
+                if low & b:
+                    push((n, (O ^ b) << 1, U | b, j, T, low ^ b | g, lo - j + f))
+                else:
+                    push((n, (O ^ b) << 1, U | b, j, T, low, lo))
+            if not B and m:
+                # The opener starts an arc at n: m - 1 arcs left to open,
+                # and the largest of the m smallest lengths leaves low.
+                f = low.bit_length() - 1
+                T -= 2 * n
+                tmin, bl, cl = bounds[n][m - 1]
+                if T >= tmin and 2 * (lo - f) <= min(bl - T, cl - 2 * T):
+                    skipped -= 1
+                    push((n, O << 1 | 2, U, 0, T, low ^ 1 << f, lo - f))
+            if skipped:
+                visits[n] += skipped
+                cut[0] += skipped
+            continue
         n += 1
         # The stack pops last-pushed first: closers by decreasing j, then the opener.
         closable = O & ~U

@@ -210,6 +210,17 @@ def test_progress_lines_reach_stderr(monkeypatch, capsys):
     assert "visited" in capsys.readouterr().err
 
 
+def test_pruned_walk_never_enters_a_node_it_cuts(monkeypatch, capsys):
+    # one heartbeat per node entered, the root included: every node in the
+    # figures was either entered or cut at its parent, never both
+    monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 1)
+    for order in range(1, 10):
+        r = dfs_enumerate(order)
+        beats = capsys.readouterr().err.splitlines()
+        entered = 1 + sum(r.per_level_counts) - r.pruned_nodes
+        assert len(beats) == entered, order
+
+
 # ---------------------------------------------------------------------------
 # pruning
 
@@ -288,16 +299,29 @@ def test_prune_rejections_are_sound_for_order4():
     assert rejected > 0
 
 
-def test_prune_forced_length_cut():
-    # four positions remain, so a new arc spans at most 3: the unused length
-    # 4 needs an open arc, and none is open
+def test_prune_position_sums_cut_an_unused_length_too_long_for_a_new_arc():
+    # "3,1,1,3" at order 4: four positions remain, so a new arc spans at most
+    # 3 and the unused length 4 has no arc to take it.  No arc is open and
+    # m = 2 arcs start after position 4 with lengths {2, 4}: P = 26, F = 6,
+    # so T = 20 < 2 * (2*4 + 2 + 1) = 22, check (a); and 2 lo = 12 exceeds
+    # 2mL - m(m-1) - T = 30 - 20 = 10, check (b)
     s = parse_state("3,1,1,3")  # a prefix of 3,1,1,3,8,5,7,2,6,2,5,4,8,7,6,4
+    assert engine._position_sums(4, 0, 0b1010, 4) == (20, 0b10100, 6)
+    assert engine._sum_bounds(4, 0, 8) == (22, 30, 52)
+    assert 20 < 22 and 2 * 6 > 30 - 20
     assert not prune_feasible(s, 4)
     assert prune_feasible(s, 8)
     assert _has_skolem_descendant(s, 8)
-    # three positions remain: the unused lengths 3 and 4 both need an open
-    # arc, and only *2 is open
-    assert not prune_feasible(parse_state("1,1,2,*2,2"), 4)
+    # "1,1,2,*2,2" at order 4: three positions remain, and the unused lengths
+    # 3 and 4 would need two open arcs.  *2 starts at position 4 and m = 1
+    # arc is still to open: P = 21, S = 4, F = 7, so T = 10 < 1 * (2*5 + 1 + 1)
+    # = 12 fails check (a) alone; (b) reads 2 * 3 <= 16 - 10 and (c)
+    # 2 * 3 <= 30 - 20
+    t = parse_state("1,1,2,*2,2")
+    assert engine._position_sums(5, 0b100, 0b110, 4) == (10, 0b1000, 3)
+    assert engine._sum_bounds(5, 1, 8) == (12, 16, 30)
+    assert 10 < 12 and 2 * 3 <= min(16 - 10, 30 - 2 * 10)
+    assert not prune_feasible(t, 4)
 
 
 def _unpruned_nodes_short_of_full_length(order):
@@ -424,21 +448,30 @@ def test_report_summary_shape():
 # ---------------------------------------------------------------------------
 # frozen search figures: the pruned walk visits and cuts exactly these nodes.
 # The *_BEFORE lists are the figures from before the position-sum test in
-# ``_feasible``; a sound extra cut may only lower a level's visits.
+# ``_feasible``, and the *_WITH_FORCED_LENGTH lists those with both it and
+# the forced-length test, which the position sums made redundant; a sound
+# extra cut may only lower a level's visits, and dropping one only raise it.
 
 ORDER8_VISITS_BEFORE = [
     1, 2, 4, 8, 20, 52, 146, 430, 1277, 1856, 2734, 3301, 3344, 1972, 956, 1008,
 ]
-ORDER8_VISITS = [
+ORDER8_VISITS_WITH_FORCED_LENGTH = [
     1, 2, 4, 8, 20, 52, 134, 314, 682, 1008, 1318, 1506, 1272, 1004, 956, 1008,
+]
+ORDER8_VISITS = [
+    1, 2, 4, 8, 20, 52, 134, 314, 682, 1018, 1362, 1576, 1417, 1247, 956, 1008,
 ]
 ORDER9_VISITS_BEFORE = [
     1, 2, 4, 8, 20, 52, 146, 430, 1306, 4176,
     7045, 10787, 14783, 17901, 16628, 9770, 5012, 5312,
 ]
-ORDER9_VISITS = [
+ORDER9_VISITS_WITH_FORCED_LENGTH = [
     1, 2, 4, 8, 20, 52, 144, 410, 1039, 2260,
     3810, 5496, 7122, 7702, 6557, 5358, 5012, 5312,
+]
+ORDER9_VISITS = [
+    1, 2, 4, 8, 20, 52, 144, 410, 1039, 2260,
+    3810, 5540, 7480, 8353, 7539, 6453, 5012, 5312,
 ]
 
 
@@ -446,8 +479,12 @@ def test_pruned_walk_figures_order8():
     r = dfs_enumerate(8)
     assert r.per_level_counts == ORDER8_VISITS
     assert all(a <= b for a, b in zip(ORDER8_VISITS, ORDER8_VISITS_BEFORE, strict=True))
-    assert sum(r.per_level_counts) == 9289  # 17111 before; 29752 before forced lengths
-    assert r.pruned_nodes == 4161  # 9398 before; 12182 before forced lengths
+    assert all(
+        a >= b for a, b in zip(ORDER8_VISITS, ORDER8_VISITS_WITH_FORCED_LENGTH, strict=True)
+    )
+    # 9289 with forced lengths; 17111 before the position sums
+    assert sum(r.per_level_counts) == 9801
+    assert r.pruned_nodes == 4458  # 4161 with forced lengths; 9398 before
     assert r.skolem_count == 504
 
 
@@ -455,8 +492,12 @@ def test_pruned_walk_figures_order9():
     r = dfs_enumerate(9)
     assert r.per_level_counts == ORDER9_VISITS
     assert all(a <= b for a, b in zip(ORDER9_VISITS, ORDER9_VISITS_BEFORE, strict=True))
-    assert sum(r.per_level_counts) == 50309  # 93383 before; 177981 before forced lengths
-    assert r.pruned_nodes == 22920  # 51659 before; 73360 before forced lengths
+    assert all(
+        a >= b for a, b in zip(ORDER9_VISITS, ORDER9_VISITS_WITH_FORCED_LENGTH, strict=True)
+    )
+    # 50309 with forced lengths; 93383 before the position sums
+    assert sum(r.per_level_counts) == 53439
+    assert r.pruned_nodes == 24781  # 22920 with forced lengths; 51659 before
     assert r.skolem_count == 2656
 
 
@@ -506,9 +547,13 @@ ORDER10_VISITS_BEFORE = [
     1, 2, 4, 8, 20, 52, 146, 430, 1306, 4176,
     13687, 24410, 42085, 64779, 89419, 104370, 90515, 58394, 27578, 0,
 ]
-ORDER10_VISITS = [
+ORDER10_VISITS_WITH_FORCED_LENGTH = [
     1, 2, 4, 8, 20, 52, 146, 430, 1231, 3172,
     7344, 12735, 19461, 26367, 29936, 23004, 8838, 1528, 0, 0,
+]
+ORDER10_VISITS = [
+    1, 2, 4, 8, 20, 52, 146, 430, 1231, 3172,
+    7344, 12798, 19783, 26929, 31360, 25753, 9826, 1528, 0, 0,
 ]
 
 
@@ -516,8 +561,12 @@ def test_pruned_walk_figures_order10():
     r = dfs_enumerate(10)
     assert r.per_level_counts == ORDER10_VISITS
     assert all(a <= b for a, b in zip(ORDER10_VISITS, ORDER10_VISITS_BEFORE, strict=True))
-    assert sum(r.per_level_counts) == 134279  # 521382 before
-    assert r.pruned_nodes == 80188  # 326423 before
+    assert all(
+        a >= b for a, b in zip(ORDER10_VISITS, ORDER10_VISITS_WITH_FORCED_LENGTH, strict=True)
+    )
+    # 134279 with forced lengths; 521382 before the position sums
+    assert sum(r.per_level_counts) == 140387
+    assert r.pruned_nodes == 83728  # 80188 with forced lengths; 326423 before
     assert r.skolem_count == 0
 
 
