@@ -3,8 +3,9 @@
 
 For a target order N the script runs the exhaustive walk twice -- with and
 without feasibility pruning -- and prints per-level visit counts, the number
-of Skolem sequences found, the cut ratio (subtrees cut / nodes visited), and
-how both compare to the (2N)! permutation space a naive scan would face.
+of Skolem sequences found, the cut ratio (subtrees cut / nodes visited), the
+nodes the pruned walk merged with equal ones it expanded before, and how both
+compare to the (2N)! permutation space a naive scan would face.
 
     python3 scripts/search_space_report.py --order 8
 """
@@ -41,13 +42,14 @@ def main(argv=None) -> int:
         print(
             f"{name}: {report.skolem_count} sequences, "
             f"{total} nodes visited, {report.pruned_nodes} subtrees cut "
-            f"(cut ratio {report.pruned_nodes / total:.4f}), {report.elapsed:.2f}s"
+            f"(cut ratio {report.pruned_nodes / total:.4f}), "
+            f"{report.merged_nodes} merged, {report.elapsed:.2f}s"
         )
     if "unpruned" in runs:
         full = runs["unpruned"]
         cut = runs["pruned"]
         saved = sum(full.per_level_counts) - sum(cut.per_level_counts)
-        print(f"pruning saved {saved} node visits")
+        print(f"pruning and merging saved {saved} node visits")
         print(f"\n{'level':>5} {'unpruned':>12} {'pruned':>12}")
         for i, (a, b) in enumerate(
             zip(full.per_level_counts, cut.per_level_counts), start=1

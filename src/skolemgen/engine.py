@@ -113,7 +113,50 @@ opener child has m-1 arcs to open, T - 2(n+1), and lo - f(m).  The walk
 carries T, ``low`` and lo on its stack: an opener drops low's top bit, and
 a closer *j with j in ``low`` swaps bit j for bit f(m+1).  So a pushed child
 needs no test on entry; a seed runs all of ``_feasible`` and computes T,
-``low`` and lo from scratch.
+``low`` and lo from scratch.  At length 2N - 1 one arc is open and one
+length is unused; the rank pass keeps the arc's closer only if its length
+is the unused one, and cuts the opener, which would leave an arc open at
+full length.
+
+Merging equal nodes.  Many prefixes reach the same node, and the walk
+would search its subtree again each time.  So within ``MERGE_DEPTH``
+positions of full length the pruned walk records, when a node's children
+have all settled, its live-children mask: bit 0 for the opener and bit j
+for "close *j", set when that child reached a Skolem leaf.  A node equal to
+a recorded one is merged: the walk pushes the children in its mask, in
+canonical order, and runs no test; a mask of 0 settles it at once.  This is
+sound.  (O, U) fixes n = 2 popcount(U) + popcount(O), and T, ``low`` and lo
+are functions of (n, O, U), so the children a node keeps and every subtree
+below them depend on (O, U) alone.  Closing *j writes only ent[n-1] and
+ent[n-1-j], which is the start of an arc open at the node or a position
+after n, so every completion writes the same positions with the same values
+whatever the prefix.  A replayed child writes its entries as an expanded one
+does, and the leaves, their order and their entries do not change.
+
+A node is recorded after its children, so the children in a recorded mask
+are recorded too, or at full length, which has no record.  The record holds
+at most ``MERGE_CAP`` nodes.  Once full it keeps them and records no more,
+so a node within reach then pays one lookup and nothing else, and a
+replayed child still finds its own record.  The two constants against
+time and peak RSS (2 vCPUs, Python 3.11.7, a shared host): the first
+20,000 leaves of order 12 from ``enumerate_skolem``, and ``dfs_enumerate``
+of orders 11 and 12.  Times are medians of runs alternating in one process,
+7 a row for the first two walks and 3 for order 12; peak RSS is from a run
+of its own.
+
+    depth, cap      20,000 leaves     order 11 (empty)   order 12
+    0 (no merging)  0.80 s  14.5 MiB  0.94 s  14.5 MiB  17.4 s  14.5 MiB
+    6, 2^17         0.60 s  15.8 MiB  0.63 s  15.8 MiB  13.0 s  20.2 MiB
+    8, 2^15         0.58 s  17.2 MiB  0.65 s  17.0 MiB  16.7 s  17.1 MiB
+    8, 2^17 (used)  0.56 s  17.2 MiB  0.54 s  19.6 MiB  11.5 s  25.4 MiB
+    8, 2^18         0.55 s  17.2 MiB  0.53 s  19.7 MiB  11.3 s  36.1 MiB
+    10, 2^17        0.52 s  17.1 MiB  0.50 s  24.7 MiB  13.5 s  25.4 MiB
+
+The first 20,000 leaves record about 22,000 nodes, under every cap in the
+table; the whole order-12 walk fills 2^17 records after about a fifth of
+its leaves.  A cap of 2^15 fills too early to gain there, and 2^18 gains
+2% for 11 MiB more.  Depth 10 records more nodes that recur less often;
+depth 6 merges fewer.
 """
 
 from __future__ import annotations
@@ -129,6 +172,10 @@ from typing import Iterator
 from .core import OpenState, SkolemSequence, children
 
 PROGRESS_INTERVAL = 10_000_000  # visited-node liveness signal, stderr
+# The pruned walk merges equal nodes within MERGE_DEPTH positions of full
+# length and records at most MERGE_CAP of them (the module docstring's table).
+MERGE_DEPTH = 8
+MERGE_CAP = 1 << 17
 
 _Seed = tuple[int, int, int]  # a node (n, O, U) that a walk starts from
 _ROOT: _Seed = (0, 0, 0)  # the empty sequence
@@ -149,9 +196,11 @@ class EnumerationReport:
     """Outcome of one tree traversal towards a target order.
 
     ``per_level_counts[i]`` counts the nodes of length i+1 that the walk
-    settled: each one was entered, or was cut at its parent without being
-    built.  ``pruned_nodes`` counts the cut ones, so the walk entered
-    exactly 1 + sum(per_level_counts) - pruned_nodes nodes, the root
+    settled: each one was entered, cut at its parent without being built, or
+    merged (found in the pruned walk's record of equal nodes expanded
+    before).  ``pruned_nodes`` counts the cut ones and ``merged_nodes`` the
+    merged ones, so the walk entered exactly
+    1 + sum(per_level_counts) - pruned_nodes - merged_nodes nodes, the root
     included.
     """
 
@@ -159,6 +208,7 @@ class EnumerationReport:
     per_level_counts: list[int] = field(default_factory=list)
     skolem_count: int = 0
     pruned_nodes: int = 0
+    merged_nodes: int = 0
     elapsed: float = 0.0  # seconds
 
     def summary(self) -> str:
@@ -172,6 +222,7 @@ class EnumerationReport:
             f"open states searched at level {n2}: {searched}",
             f"classical permutation search space {n2}! = {math.factorial(n2)}",
             f"pruned nodes: {self.pruned_nodes}",
+            f"merged nodes: {self.merged_nodes}",
             f"elapsed: {self.elapsed:.3f} s",
         ]
         return "\n".join(lines)
@@ -277,6 +328,7 @@ def _walk(
     visits: list[int],
     goal: int | None = None,
     cut: list[int] | None = None,
+    merged: list[int] | None = None,
 ) -> Iterator[tuple[int, int]]:
     """Depth-first walk from ``seed`` = (n, O, U) to length ``len(ent)``.
 
@@ -289,13 +341,19 @@ def _walk(
     checks (a)-(c) from the T, ``low`` and lo it carries on the stack and
     pushes with each child (see the module docstring).  The checks never
     read T's parity.  A child its parent rejects, or a seed that fails, is
-    added to ``visits`` and ``cut[0]`` without being entered.  So each node
-    that a walk towards full length counts in ``visits`` was either entered
-    or cut, never both, and ``sum(visits)`` less the cuts is exactly the
-    number of nodes entered.  A walk stopped at a leaf has settled the nodes
-    it entered up to the leaf and every child their parents cut, those after
-    the leaf in canonical order too, but not the pushed children it never
-    entered.
+    added to ``visits`` and ``cut[0]`` without being entered; at full
+    length that is every node with an open arc.  The pruned walk also
+    merges equal nodes within ``MERGE_DEPTH`` positions of full length: a
+    node equal to one it expanded before is added to ``visits`` and
+    ``merged[0]`` (a count of its own when ``merged`` is None) and is not
+    entered, and the walk pushes the live children recorded for it without
+    a test (see the module docstring).  So each
+    node that a walk towards full length counts in ``visits`` was entered,
+    cut or merged, exactly one of them, and ``sum(visits)`` less the cuts
+    and merges is exactly the number of nodes entered.  A walk stopped at a
+    leaf has settled the nodes it entered or merged up to the leaf and every
+    child their parents cut, those after the leaf in canonical order too,
+    but not the pushed children it never reached.
 
     At full length the walk yields (O, U) for every node whose used mask
     contains ``goal``: 0 takes every node.  With ``goal`` None the walk only
@@ -316,9 +374,18 @@ def _walk(
     beat = PROGRESS_INTERVAL
     t = 0
     # (n, O, U, j, T, low, lo): j > 0 when the node closed *j; the pruned
-    # walk carries the node's position sums, other walks zeros
+    # walk carries the node's position sums, other walks zeros.  An exit
+    # record (n, key, 0, ~j, 0, 0, 0) sits below an expanded node's children.
     stack = [(*seed, 0, 0, 0, 0)]
     pop, push = stack.pop, stack.append
+    # live[n]: the live-children mask of the expanded node of length n on the
+    # current path; bit 0 is the opener, bit j "close *j"
+    live = [0] * (depth + 1)
+    memo: dict[int, int] = {}  # (O, U) packed as O << width | U -> live mask
+    recorded = memo.get
+    memo_cap = MERGE_CAP
+    width = order + 1
+    merge_from = depth + 1  # no merging
     if cut is not None and seed[0] < depth:
         # A seed may come from an unpruned walk (a ``_split`` node), so it
         # runs every test; a node the walk pushes runs none.
@@ -332,11 +399,44 @@ def _walk(
             [_sum_bounds(i, depth - i - 2 * m, depth) for m in range((depth - i) // 2 + 1)]
             for i in range(depth + 1)
         ]
+        merge_from = depth - MERGE_DEPTH
+        if merged is None:
+            merged = [0]
     while stack:
         n, O, U, j, T, low, lo = pop()
         if j:
+            if j < 0:
+                # The node's children have all settled: record which lived.
+                mask = live[n]
+                if len(memo) < memo_cap:
+                    memo[O] = mask
+                if mask:
+                    live[n - 1] |= 1 << ~j
+                continue
             ent[n - 1] = ent[n - 1 - j] = j
         visits[n] += 1
+        if merge_from <= n < depth:
+            key = O << width | U
+            mask = recorded(key)
+            if mask is not None:
+                # Merged: an equal node was expanded before.  Replay its live
+                # children, which are leaves or merged in turn.
+                merged[0] += 1
+                if mask:
+                    live[n - 1] |= 1 << j
+                    n += 1
+                    rest = mask & ~1
+                    while rest:
+                        j = rest.bit_length() - 1
+                        b = 1 << j
+                        rest ^= b
+                        push((n, (O ^ b) << 1, U | b, j, 0, 0, 0))
+                    if mask & 1:
+                        push((n, O << 1 | 2, U, 0, 0, 0, 0))
+                continue
+            if len(memo) < memo_cap:
+                live[n] = 0
+                push((n, key, 0, ~j, 0, 0, 0))
         t += 1
         if t == beat:
             print(
@@ -347,6 +447,7 @@ def _walk(
         if n >= stop:
             if goal is not None:  # full length
                 if U & goal == goal:
+                    live[n - 1] |= 1 << j  # read only if the parent records
                     yield O, U
                 continue
             # a count: the last three levels from popcounts
@@ -369,7 +470,7 @@ def _walk(
             else:  # a seed one level short
                 visits[depth] += 1 + (O & ~U).bit_count()
             continue
-        if cut is not None and n + 1 < depth:
+        if cut is not None:
             # The parent, or for the seed the check above, decided every
             # test of this node; see the module docstring.
             free = ~U & full
@@ -549,11 +650,12 @@ def _leaves(
     order: int,
     visits: list[int],
     cut: list[int] | None,
+    merged: list[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Values of every Skolem leaf below ``seed``, whose entries are
-    ``prefix``, in canonical order; ``cut`` as for ``_walk``."""
+    ``prefix``, in canonical order; ``cut`` and ``merged`` as for ``_walk``."""
     ent = list(prefix) + [0] * (2 * order - len(prefix))
-    for _ in _walk(ent, seed, visits, _lengths(order), cut):
+    for _ in _walk(ent, seed, visits, _lengths(order), cut, merged):
         yield tuple(ent)
 
 
@@ -572,9 +674,10 @@ def dfs_enumerate(target_order: int, prune: bool = True) -> EnumerationReport:
     _require_order(target_order)
     visits = [0] * (2 * target_order + 1)
     cut = [0] if prune else None
+    merged = [0]
     count = 0
     t0 = time.perf_counter()
-    for vals in _leaves(_ROOT, (), target_order, visits, cut):
+    for vals in _leaves(_ROOT, (), target_order, visits, cut, merged):
         SkolemSequence(vals)
         count += 1
     return EnumerationReport(
@@ -582,6 +685,7 @@ def dfs_enumerate(target_order: int, prune: bool = True) -> EnumerationReport:
         per_level_counts=visits[1:],
         skolem_count=count,
         pruned_nodes=cut[0] if cut else 0,
+        merged_nodes=merged[0],
         elapsed=time.perf_counter() - t0,
     )
 

@@ -3,6 +3,7 @@ soundness, parallel determinism, and resource-failure plumbing."""
 
 import multiprocessing
 import sys
+from collections import Counter
 
 import pytest
 
@@ -212,13 +213,14 @@ def test_progress_lines_reach_stderr(monkeypatch, capsys):
 
 def test_pruned_walk_never_enters_a_node_it_cuts(monkeypatch, capsys):
     # one heartbeat per node entered, the root included: every node in the
-    # figures was either entered or cut at its parent, never both
+    # figures was entered, cut at its parent or merged, and only one of them
     monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 1)
     for order in range(1, 10):
         r = dfs_enumerate(order)
         beats = capsys.readouterr().err.splitlines()
-        entered = 1 + sum(r.per_level_counts) - r.pruned_nodes
+        entered = 1 + sum(r.per_level_counts) - r.pruned_nodes - r.merged_nodes
         assert len(beats) == entered, order
+        assert r.merged_nodes or order < 4
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +445,7 @@ def test_report_summary_shape():
     text = r.summary()
     assert "target order 2" in text
     assert "4! = 24" in text
+    assert "merged nodes: 0" in text
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +454,15 @@ def test_report_summary_shape():
 # ``_feasible``, and the *_WITH_FORCED_LENGTH lists those with both it and
 # the forced-length test, which the position sums made redundant; a sound
 # extra cut may only lower a level's visits, and dropping one only raise it.
+# The tree's own figures are those with merging off (``MERGE_DEPTH`` 0); the
+# *_MERGED lists are those of the default walk, which settles a node equal to
+# one it expanded before by replaying its live children.
+
+
+@pytest.fixture
+def merging_off(monkeypatch):
+    monkeypatch.setattr(engine, "MERGE_DEPTH", 0)
+
 
 ORDER8_VISITS_BEFORE = [
     1, 2, 4, 8, 20, 52, 146, 430, 1277, 1856, 2734, 3301, 3344, 1972, 956, 1008,
@@ -473,9 +485,16 @@ ORDER9_VISITS = [
     1, 2, 4, 8, 20, 52, 144, 410, 1039, 2260,
     3810, 5540, 7480, 8353, 7539, 6453, 5012, 5312,
 ]
+ORDER8_VISITS_MERGED = [
+    1, 2, 4, 8, 20, 52, 134, 314, 669, 965, 1213, 1309, 976, 748, 546, 512,
+]
+ORDER9_VISITS_MERGED = [
+    1, 2, 4, 8, 20, 52, 144, 410, 1039, 2260,
+    3541, 4892, 5836, 5348, 4010, 3112, 2712, 2665,
+]
 
 
-def test_pruned_walk_figures_order8():
+def test_pruned_walk_figures_order8(merging_off):
     r = dfs_enumerate(8)
     assert r.per_level_counts == ORDER8_VISITS
     assert all(a <= b for a, b in zip(ORDER8_VISITS, ORDER8_VISITS_BEFORE, strict=True))
@@ -484,11 +503,13 @@ def test_pruned_walk_figures_order8():
     )
     # 9289 with forced lengths; 17111 before the position sums
     assert sum(r.per_level_counts) == 9801
-    assert r.pruned_nodes == 4458  # 4161 with forced lengths; 9398 before
+    # 504 of the cuts are openers at full length, each the sibling of a leaf
+    assert r.pruned_nodes == 4962  # 4161 + 504 with forced lengths; 9398 + 504 before
+    assert r.merged_nodes == 0
     assert r.skolem_count == 504
 
 
-def test_pruned_walk_figures_order9():
+def test_pruned_walk_figures_order9(merging_off):
     r = dfs_enumerate(9)
     assert r.per_level_counts == ORDER9_VISITS
     assert all(a <= b for a, b in zip(ORDER9_VISITS, ORDER9_VISITS_BEFORE, strict=True))
@@ -497,21 +518,25 @@ def test_pruned_walk_figures_order9():
     )
     # 50309 with forced lengths; 93383 before the position sums
     assert sum(r.per_level_counts) == 53439
-    assert r.pruned_nodes == 24781  # 22920 with forced lengths; 51659 before
+    # 2656 of the cuts are openers at full length, each the sibling of a leaf
+    assert r.pruned_nodes == 27437  # 22920 + 2656 with forced lengths; 51659 + 2656 before
+    assert r.merged_nodes == 0
     assert r.skolem_count == 2656
 
 
 def _pruned_sweep(order, start):
     """Per-level visits below ``start``, cut count and Skolem leaf values of
-    the pruned walk from ``start``, by a level sweep over ``core.children``
-    that tests every node short of full length with ``prune_feasible``; it
-    shares no code with ``engine._walk``."""
+    the pruned walk from ``start`` with merging off, by a level sweep over
+    ``core.children`` that tests every node short of full length with
+    ``prune_feasible`` and counts a full-length node with an open arc as cut;
+    it shares no code with ``engine._walk``."""
     level, visits, cut = [start], [], 0
     for _ in range(2 * order - start.order):
         kept = [s for s in level if prune_feasible(s, order)]
         cut += len(level) - len(kept)
         level = [c for s in kept for c in children(s)]
         visits.append(len(level))
+    cut += sum(1 for s in level if s.open_values())
     return visits, cut, [s.values() for s in level if is_skolem_label(s)]
 
 
@@ -521,7 +546,7 @@ def _swept_pruned_figures(order):
 
 
 @pytest.mark.parametrize("order", range(1, 9))
-def test_pruned_walk_figures_match_a_level_sweep(order):
+def test_pruned_walk_figures_match_a_level_sweep(order, merging_off):
     # the walk decides some children at their parent and only counts them;
     # the sweep builds and tests every one
     r = dfs_enumerate(order)
@@ -529,7 +554,7 @@ def test_pruned_walk_figures_match_a_level_sweep(order):
 
 
 @pytest.mark.parametrize("order", [5, 6, 7])
-def test_pruned_walk_from_any_seed_matches_a_level_sweep(order):
+def test_pruned_walk_from_any_seed_matches_a_level_sweep(order, merging_off):
     # a seed may come from an unpruned walk, as a ``_split`` node does, so
     # the walk must cut it by every test, not only by those its parent decides
     depth = 2 * order
@@ -541,6 +566,93 @@ def test_pruned_walk_from_any_seed_matches_a_level_sweep(order):
             leaves = list(engine._leaves(seed, s.values(), order, visits, cut))
             assert visits[:n + 1] == [0] * n + [1]
             assert (visits[n + 1:], cut[0], leaves) == _pruned_sweep(order, s), str(s)
+
+
+def _node(s):
+    """The compressed node of a state: what the walk keeps of it."""
+    return s.order, tuple(s.open_values()), s.used
+
+
+def _lives(s, order, seen):
+    """Whether a Skolem sequence of ``order`` extends ``s``; ``seen`` caches the
+    answer per compressed node, on which it depends alone."""
+    key = _node(s)
+    if key not in seen:
+        if s.order == 2 * order:
+            seen[key] = is_skolem_label(s)
+        else:
+            seen[key] = prune_feasible(s, order) and any(
+                [_lives(c, order, seen) for c in children(s)]
+            )
+    return seen[key]
+
+
+def _merged_sweep(order, start):
+    """Per-level visits below ``start``, cuts, merges and the number of Skolem
+    leaves of the pruned walk from ``start`` with merging on, by a level
+    sweep that keeps one copy of each compressed node with its multiplicity;
+    it shares no code with ``engine._walk``.
+
+    Within ``MERGE_DEPTH`` positions of the end, the first copy of a feasible
+    node is expanded and every later copy is merged: it replays only the
+    children that a Skolem leaf extends.  A node cut at its parent came from
+    an expanded copy, because a merged one replays no such child.
+    """
+    depth = 2 * order
+    level, some = Counter({_node(start): 1}), {_node(start): start}
+    visits, cut, merged, seen = [], 0, 0, {}
+    for n in range(start.order, depth):
+        below = Counter()
+        for key, copies in level.items():
+            s = some[key]
+            if not prune_feasible(s, order):
+                cut += copies
+                continue
+            expanded = copies if depth - n > engine.MERGE_DEPTH else 1
+            merged += copies - expanded
+            for c in children(s):
+                some.setdefault(_node(c), c)
+                below[_node(c)] += expanded + (copies - expanded) * _lives(c, order, seen)
+        level = below
+        visits.append(sum(level.values()))
+    cut += sum(copies for key, copies in level.items() if key[1])
+    leaves = sum(copies for key, copies in level.items() if is_skolem_label(some[key]))
+    return visits, cut, merged, leaves
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_merged_walk_figures_match_a_counter_sweep(order):
+    r = dfs_enumerate(order)
+    got = (r.per_level_counts, r.pruned_nodes, r.merged_nodes, r.skolem_count)
+    assert got == _merged_sweep(order, EMPTY_STATE)
+
+
+@pytest.mark.parametrize("order", [5, 6, 7])
+def test_merged_walk_from_any_seed_matches_a_counter_sweep(order):
+    depth = 2 * order
+    for level in iter_level_states(6):
+        for s in level:
+            n = s.order
+            seed = (n, sum(1 << v for v in s.open_values()), sum(1 << v for v in s.used))
+            visits, cut, merged = [0] * (depth + 1), [0], [0]
+            leaves = list(engine._leaves(seed, s.values(), order, visits, cut, merged))
+            assert visits[:n + 1] == [0] * n + [1]
+            got = (visits[n + 1:], cut[0], merged[0], len(leaves))
+            assert got == _merged_sweep(order, s), str(s)
+            assert leaves == _pruned_sweep(order, s)[2], str(s)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 64])
+def test_merged_walk_leaves_match_at_tiny_caps(monkeypatch, cap):
+    # a full record keeps its entries and records nothing more, so a node it
+    # replays has every live child recorded or at full length
+    orders = range(1, 11)
+    monkeypatch.setattr(engine, "MERGE_DEPTH", 0)
+    tree = [[s.values for s in enumerate_skolem(order)] for order in orders]
+    monkeypatch.setattr(engine, "MERGE_DEPTH", 8)
+    monkeypatch.setattr(engine, "MERGE_CAP", cap)
+    assert [[s.values for s in enumerate_skolem(order)] for order in orders] == tree
+    assert sum(map(len, tree)) == 1 + 6 + 10 + 504 + 2656
 
 
 ORDER10_VISITS_BEFORE = [
@@ -555,9 +667,13 @@ ORDER10_VISITS = [
     1, 2, 4, 8, 20, 52, 146, 430, 1231, 3172,
     7344, 12798, 19783, 26929, 31360, 25753, 9826, 1528, 0, 0,
 ]
+ORDER10_VISITS_MERGED = [
+    1, 2, 4, 8, 20, 52, 146, 430, 1231, 3172,
+    7344, 12798, 15114, 16672, 14015, 4947, 434, 10, 0, 0,
+]
 
 
-def test_pruned_walk_figures_order10():
+def test_pruned_walk_figures_order10(merging_off):
     r = dfs_enumerate(10)
     assert r.per_level_counts == ORDER10_VISITS
     assert all(a <= b for a, b in zip(ORDER10_VISITS, ORDER10_VISITS_BEFORE, strict=True))
@@ -567,7 +683,25 @@ def test_pruned_walk_figures_order10():
     # 134279 with forced lengths; 521382 before the position sums
     assert sum(r.per_level_counts) == 140387
     assert r.pruned_nodes == 83728  # 80188 with forced lengths; 326423 before
+    assert r.merged_nodes == 0
     assert r.skolem_count == 0
+
+
+
+@pytest.mark.parametrize(
+    "order, merged_visits, tree_visits, cut, merged, leaves",
+    [
+        (8, ORDER8_VISITS_MERGED, ORDER8_VISITS, 2803, 1927, 504),
+        (9, ORDER9_VISITS_MERGED, ORDER9_VISITS, 11592, 12980, 2656),
+        (10, ORDER10_VISITS_MERGED, ORDER10_VISITS, 39597, 10082, 0),
+    ],
+)
+def test_merged_walk_figures(order, merged_visits, tree_visits, cut, merged, leaves):
+    # visits 7473, 36056 and 76400, against 9801, 53439 and 140387 unmerged
+    r = dfs_enumerate(order)
+    assert r.per_level_counts == merged_visits
+    assert all(a <= b for a, b in zip(merged_visits, tree_visits, strict=True))
+    assert (r.pruned_nodes, r.merged_nodes, r.skolem_count) == (cut, merged, leaves)
 
 
 # Up to a leaf, ``visits`` also holds the children a parent cut after the
@@ -587,7 +721,7 @@ def _walk_too_long(*args, **kwargs):
     raise AssertionError("the walk entered too many nodes")
 
 
-def test_pruned_walk_figures_up_to_the_first_order17_leaf(monkeypatch):
+def test_pruned_walk_figures_up_to_the_first_order17_leaf(monkeypatch, merging_off):
     # The walk enters fewer than 100 nodes before this leaf; a walk that
     # cuts a path to it would run on for hours, so its heartbeat stops it.
     monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 1_000)
@@ -600,7 +734,7 @@ def test_pruned_walk_figures_up_to_the_first_order17_leaf(monkeypatch):
     )
     assert visits[1:] == ORDER17_FIRST_LEAF_VISITS
     assert sum(visits[1:]) == 76 < sum(ORDER17_FIRST_LEAF_VISITS_BEFORE) == 1685158
-    assert cut[0] == 39  # 1426444 before
+    assert cut[0] == 40  # 1426444 + 1 before; one is the leaf's sibling opener
 
 
 ORDER20_FIRST_LEAF = (
