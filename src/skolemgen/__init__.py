@@ -19,7 +19,6 @@ from .core import (
 )
 from .engine import (
     EnumerationReport,
-    ResourceExhaustedError,
     count_open_levels,
     dfs_enumerate,
     enumerate_skolem,
@@ -39,7 +38,6 @@ __all__ = [
     "EnumerationReport",
     "InvalidSequenceError",
     "OpenState",
-    "ResourceExhaustedError",
     "SkolemSequence",
     "TripleSystem",
     "add_closers",

@@ -103,7 +103,7 @@ def _closed_values(text: str) -> tuple[int, ...]:
 def cmd_count_open(args) -> int:
     try:
         counts = engine.parallel_count(args.max_n, _resolve_workers(args))
-    except (MemoryError, engine.ResourceExhaustedError) as exc:
+    except MemoryError as exc:
         print(f"skolemgen: resource exhaustion: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     for n, c in enumerate(counts, start=1):

@@ -14,9 +14,10 @@ used lengths.  Starting an arc ticks every open value up and appends *1,
 ``O' = (O ^ 1 << j) << 1`` and ``U' = U | 1 << j``.  A node of length 2N is
 a Skolem sequence exactly when U holds the lengths 1..N.  Entries matter
 only when enumerating: the walk writes both ends of each arc it closes into
-one buffer.  The same walk counts levels (in one pass, so every count
-arrives when it ends), enumerates with or without pruning, and runs the
-subtrees of worker processes.  ``_iter_counts_levels`` and
+one buffer.  The same walk lists a level, enumerates with or without
+pruning, and runs the subtrees of worker processes; a count is a listing
+plus a closed-form tail (below), in one pass, so every count arrives when
+it ends.  ``_iter_counts_levels`` and
 ``iter_level_states`` recount the tree by other means; only the tests call
 them, as cross-checks.
 
@@ -32,11 +33,15 @@ opener and the closers,
     grandchildren = (c + 1)(1 + popcount(A)) + [bit 1 of U clear]
                     - popcount(A & C << 1) - popcount(A & C).
 
-So a count does not walk the last three levels: a node three levels short
-of the target adds its children, and each child's children and
-grandchildren, from popcounts, and is not expanded.  Enumeration and the
-split still enter every node, because they need each node's entries or
-state.
+So a count does not walk the last three levels.  It lists the level three
+short of the target (or the seed itself, when that is nearer), and each
+listed node adds its children, and each child's children and grandchildren,
+from popcounts.  Its walk therefore has that level as its full length, and
+the progress heartbeat's "level n of D" names it: D is K - 3 for
+``count-open --max-n K``.  The heartbeat goes to stderr once per
+``PROGRESS_INTERVAL`` (10 M) entered nodes, so stdout does not depend on
+it.  Enumeration and the split enter every node, because they need each
+node's entries or state.
 
 Pruning against a target order N cuts subtrees that cannot reach a Skolem
 leaf: length/parity bookkeeping, used lengths within 1..N, a greedy matching
@@ -181,16 +186,6 @@ _Seed = tuple[int, int, int]  # a node (n, O, U) that a walk starts from
 _ROOT: _Seed = (0, 0, 0)  # the empty sequence
 
 
-class ResourceExhaustedError(RuntimeError):
-    """Counting ran out of memory; carries the completed per-level counts."""
-
-    def __init__(self, partial_counts: list[int]):
-        super().__init__(
-            f"out of memory after {len(partial_counts)} completed level(s)"
-        )
-        self.partial_counts = partial_counts
-
-
 @dataclass
 class EnumerationReport:
     """Outcome of one tree traversal towards a target order.
@@ -326,7 +321,7 @@ def _walk(
     ent: list[int],
     seed: _Seed,
     visits: list[int],
-    goal: int | None = None,
+    goal: int,
     cut: list[int] | None = None,
     merged: list[int] | None = None,
 ) -> Iterator[tuple[int, int]]:
@@ -356,12 +351,9 @@ def _walk(
     but not the pushed children it never reached.
 
     At full length the walk yields (O, U) for every node whose used mask
-    contains ``goal``: 0 takes every node.  With ``goal`` None the walk only
-    counts: it yields nothing, takes no ``cut`` and needs a seed short of
-    full length.  A node three levels short, or a seed one or two levels
-    short, adds the nodes of the last levels below it to ``visits`` from
-    ``_two_below`` and is not expanded; those nodes are settled but not
-    entered.  The progress heartbeat counts the nodes the walk enters.
+    contains ``goal``: 0 takes every node, which is how ``_split`` and
+    ``_count_below`` list a level.  The progress heartbeat counts the nodes
+    the walk enters and names the level of the walk's own full length.
 
     ``ent[:n]`` holds the seed's entries.  Closing ``*j`` writes both ends of
     its arc, so at each yield ``ent`` holds the node's closed entries; those
@@ -370,7 +362,6 @@ def _walk(
     depth = len(ent)
     order = depth // 2
     full = _lengths(order)
-    stop = depth if goal is not None else depth - 3
     beat = PROGRESS_INTERVAL
     t = 0
     # (n, O, U, j, T, low, lo): j > 0 when the node closed *j; the pruned
@@ -444,31 +435,10 @@ def _walk(
                 file=sys.stderr,
             )
             beat += PROGRESS_INTERVAL
-        if n >= stop:
-            if goal is not None:  # full length
-                if U & goal == goal:
-                    live[n - 1] |= 1 << j  # read only if the parent records
-                    yield O, U
-                continue
-            # a count: the last three levels from popcounts
-            if n == stop:
-                closable = O & ~U
-                visits[n + 1] += 1 + closable.bit_count()
-                s2, s3 = _two_below(O << 1 | 2, U)
-                while closable:
-                    b = closable & -closable
-                    closable ^= b
-                    c2, c3 = _two_below((O ^ b) << 1, U | b)
-                    s2 += c2
-                    s3 += c3
-                visits[n + 2] += s2
-                visits[depth] += s3
-            elif n + 2 == depth:  # a seed two levels short
-                c2, c3 = _two_below(O, U)
-                visits[n + 1] += c2
-                visits[depth] += c3
-            else:  # a seed one level short
-                visits[depth] += 1 + (O & ~U).bit_count()
+        if n == depth:
+            if U & goal == goal:
+                live[n - 1] |= 1 << j  # read only if the parent records
+                yield O, U
             continue
         if cut is not None:
             # The parent, or for the seed the check above, decided every
@@ -573,12 +543,30 @@ def _split(
 # counting
 
 def _count_below(job: tuple[_Seed, int]) -> list[int]:
-    """Node counts of levels n+1..max_order below one seed (n, O, U)."""
+    """Node counts of levels n+1..max_order below one seed (n, O, U).
+
+    A count is a listing plus a closed-form tail: the walk lists the nodes
+    of level ``stop`` = max(max_order - 3, n), three levels short of the
+    target or the seed itself, and each adds its children, grandchildren
+    and great-grandchildren from ``_two_below``.  Levels past ``max_order``,
+    which a seed nearer than three levels fills, are dropped.
+    """
     seed, max_order = job
-    visits = [0] * (max_order + 1)
-    for _ in _walk([0] * max_order, seed, visits):
-        pass
-    return visits[seed[0] + 1 :]
+    stop = max(max_order - 3, seed[0])
+    visits = [0] * (stop + 4)
+    for O, U in _walk([0] * stop, seed, visits, 0):
+        closable = O & ~U
+        visits[stop + 1] += 1 + closable.bit_count()
+        s2, s3 = _two_below(O << 1 | 2, U)
+        while closable:
+            b = closable & -closable
+            closable ^= b
+            c2, c3 = _two_below((O ^ b) << 1, U | b)
+            s2 += c2
+            s3 += c3
+        visits[stop + 2] += s2
+        visits[stop + 3] += s3
+    return visits[seed[0] + 1 : max_order + 1]
 
 
 def _iter_counts_levels(max_order: int) -> Iterator[int]:
@@ -607,16 +595,11 @@ def _iter_counts_levels(max_order: int) -> Iterator[int]:
 
 def count_open_levels(max_order: int) -> list[int]:
     """Exact count of open Skolem sequences per order, 1..max_order, from one
-    depth-first pass.
-
-    On memory exhaustion raises ResourceExhaustedError.  No level is complete
-    before the pass ends, so its partial counts are empty.
+    depth-first pass.  No level is complete before the pass ends, so a
+    ``MemoryError`` leaves no partial count.
     """
     _require_order(max_order)
-    try:
-        return _count_below((_ROOT, max_order))
-    except MemoryError as exc:
-        raise ResourceExhaustedError([]) from exc
+    return _count_below((_ROOT, max_order))
 
 
 def iter_level_states(max_order: int) -> Iterator[list[OpenState]]:

@@ -62,7 +62,7 @@ def test_count_open_resource_failure(monkeypatch, capsys):
     assert run(["count-open", "--max-n", "10"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "resource" in captured.err
+    assert captured.err == "skolemgen: resource exhaustion: synthetic\n"
 
 
 def test_one_worker_never_imports_the_process_pool():

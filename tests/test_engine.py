@@ -21,7 +21,6 @@ from skolemgen.core import (
 )
 from skolemgen.engine import (
     EnumerationReport,
-    ResourceExhaustedError,
     count_open_levels,
     dfs_enumerate,
     enumerate_skolem,
@@ -63,7 +62,7 @@ def test_counts_with_closed_form_tail_match_full_states(workers):
         assert parallel_count(m, workers) == sizes
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
 def test_counts_match_an_enumeration_walk_that_enters_every_level(k):
     assert count_open_levels(2 * k) == dfs_enumerate(k, prune=False).per_level_counts
 
@@ -113,15 +112,13 @@ def _out_of_memory(*args, **kwargs):
     raise MemoryError("synthetic")
 
 
-def test_memory_failure_reports_partial_counts(monkeypatch):
+def test_memory_failure_propagates(monkeypatch):
     # the walk's first heartbeat runs out of memory, mid-pass; no level is
-    # complete before the one pass ends, so no partial count survives
+    # complete before the one pass ends, so the error reaches the caller as is
     monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 100)
     monkeypatch.setattr(engine, "print", _out_of_memory, raising=False)
-    with pytest.raises(ResourceExhaustedError) as info:
+    with pytest.raises(MemoryError, match="^synthetic$"):
         count_open_levels(10)
-    assert info.value.partial_counts == []
-    assert isinstance(info.value.__cause__, MemoryError)
 
 
 # ---------------------------------------------------------------------------
