@@ -10,8 +10,13 @@ Subcommands::
     skolemgen render --sequence "*7,4,1,1,*3,4,*1" --format svg --out d.svg
 
 Exit codes: 0 ok, 2 usage, 3 resource exhaustion, 4 I/O failure, 5 invalid
-input (including verification failures).  Worker count comes from --workers,
-falling back to the SKOLEMGEN_WORKERS environment variable, defaulting to 1.
+input (including verification failures).  ``run_to_stdout`` runs every
+command, and every script in ``scripts/``: it ends a run whose stdout reader
+went away with 0 and one that ran out of memory with 3; I/O and invalid-input
+failures are reported by the commands, which name the step that failed.
+``sts`` takes exactly one of --sequence and --order.  Worker count comes
+from --workers, falling back to the SKOLEMGEN_WORKERS environment variable,
+defaulting to 1.
 ``count-open`` and ``enumerate`` call ``engine.parallel_count`` and
 ``engine.parallel_enumerate`` for every worker count; at one worker these run
 in process, and the output is byte-identical for any count.
@@ -23,6 +28,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 from . import engine
 from .core import InvalidSequenceError, SkolemSequence, parse_entries, skolem_violation
@@ -101,11 +107,7 @@ def _closed_values(text: str) -> tuple[int, ...]:
 # subcommands
 
 def cmd_count_open(args) -> int:
-    try:
-        counts = engine.parallel_count(args.max_n, _resolve_workers(args))
-    except MemoryError as exc:
-        print(f"skolemgen: resource exhaustion: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    counts = engine.parallel_count(args.max_n, _resolve_workers(args))
     for n, c in enumerate(counts, start=1):
         print(f"n={n} count={c}")
     return EXIT_OK
@@ -141,15 +143,16 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # undecodable bytes reach the grammar as lone surrogates, from a file or stdin
+    fh = sys.stdin
     if args.infile is not None:
         try:
-            # undecodable bytes reach the grammar as lone surrogates, as on stdin
             fh = open(args.infile, errors="surrogateescape")
         except OSError as exc:
             print(f"skolemgen: cannot read {args.infile}: {exc}", file=sys.stderr)
             return EXIT_IO
-    else:
-        fh = sys.stdin
+    elif hasattr(fh, "reconfigure"):  # an io.StringIO holds decoded text already
+        fh.reconfigure(errors="surrogateescape")
     all_ok = True
     try:
         for raw in fh:
@@ -175,12 +178,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sts(args) -> int:
-    if (args.sequence is None) == (args.order is None):
-        print(
-            "skolemgen: give exactly one of --sequence or --order (with --index)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     if args.sequence is not None:
         try:
             w = SkolemSequence(_closed_values(args.sequence))
@@ -191,11 +188,7 @@ def cmd_sts(args) -> int:
         if args.index < 0:
             print(f"skolemgen: --index must be >= 0, got {args.index}", file=sys.stderr)
             return EXIT_USAGE
-        w = None
-        for i, seq in enumerate(engine.enumerate_skolem(args.order)):
-            if i == args.index:
-                w = seq
-                break
+        w = next(islice(engine.enumerate_skolem(args.order), args.index, None), None)
         if w is None:
             print(
                 f"skolemgen: no sequence of order {args.order} at index {args.index}",
@@ -261,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sts", help="build and verify a Steiner triple system")
-    p.add_argument("--sequence", default=None, metavar="S")
-    p.add_argument("--order", type=_positive, default=None, metavar="N")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--sequence", metavar="S")
+    source.add_argument("--order", type=_positive, metavar="N")
     p.add_argument("--index", type=int, default=0, metavar="I")
     p.add_argument("--x", type=int, default=0, metavar="X")
     p.set_defaults(func=cmd_sts)
@@ -277,10 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_to_stdout(func, *args) -> int:
     """Return ``func(*args)``, an exit code, with stdout flushed; a reader of
-    stdout that went away (``| head``) ends the run with EXIT_OK."""
+    stdout that went away (``| head``) ends the run with EXIT_OK, and running
+    out of memory ends it with EXIT_RESOURCE."""
     try:
         code = func(*args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except MemoryError as exc:
+        print(f"skolemgen: resource exhaustion: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except BrokenPipeError:
         # Point stdout at /dev/null so the interpreter's final flush cannot fail.
         devnull = os.open(os.devnull, os.O_WRONLY)

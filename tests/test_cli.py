@@ -221,6 +221,16 @@ def test_verify_from_file_with_undecodable_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "OK order=1\nFAIL parse: bad token '\\udcff\\udcfe'\n"
 
 
+def test_verify_undecodable_stdin_reads_as_the_same_bytes_from_a_file():
+    # a strict stdin encoding must not turn the bad bytes into a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "skolemgen.cli", "verify"], input=b"1,1\n\xff\xfe,2\n",
+        capture_output=True, env=dict(_cli_env(), PYTHONIOENCODING="utf-8"), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (5, b"")
+    assert proc.stdout == b"OK order=1\nFAIL parse: bad token '\\udcff\\udcfe'\n"
+
+
 def test_verify_over_long_token_is_a_parse_failure(monkeypatch, capsys):
     _feed(monkeypatch, "1" * 5000 + ",1\n1,1\n")
     assert run(["verify"]) == 5
@@ -453,6 +463,29 @@ def test_count_open_into_closed_pipe_is_a_normal_exit(monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdout", stream)
         assert cli.main(["count-open", "--max-n", "5"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("engine.enumerate_skolem", ["enumerate", "--order", "9", "--workers", "1"]),
+        # forked workers inherit the patch; the pool re-raises their MemoryError
+        ("engine._enumerate_subtree", ["enumerate", "--order", "9", "--workers", "2"]),
+        ("develop_sts", ["sts", "--sequence", "1,1"]),
+        ("engine.enumerate_skolem", ["sts", "--order", "4"]),
+        ("skolem_violation", ["verify"]),
+        ("render_arc_diagram", ["render", "--sequence", "1,1"]),
+    ],
+    ids=["enumerate-1", "enumerate-2", "sts-sequence", "sts-order", "verify", "render"],
+)
+def test_resource_exhaustion_exits_3_for_every_command(monkeypatch, capsys, target, argv):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(f"skolemgen.cli.{target}", _out_of_memory)
+    _feed(monkeypatch, "1,1\n")
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "skolemgen: resource exhaustion: synthetic\n"
 
 
 def test_worker_count_is_capped_at_available_cpus(monkeypatch, capsys):
