@@ -14,12 +14,11 @@ input (including verification failures).  ``run_to_stdout`` runs every
 command, and every script in ``scripts/``: it ends a run whose stdout reader
 went away with 0 and one that ran out of memory with 3; I/O and invalid-input
 failures are reported by the commands, which name the step that failed.
-``sts`` takes exactly one of --sequence and --order.  Worker count comes
-from --workers, falling back to the SKOLEMGEN_WORKERS environment variable,
-defaulting to 1.
-``count-open`` and ``enumerate`` call ``engine.parallel_count`` and
-``engine.parallel_enumerate`` for every worker count; at one worker these run
-in process, and the output is byte-identical for any count.
+``sts`` takes exactly one of --sequence and --order.
+``count-open`` and ``enumerate`` pass --workers (default 1) straight to
+``engine.parallel_count`` and ``engine.parallel_enumerate``, which check it
+and cap it at the CPUs this process may run on; at one worker these run in
+process, and the output is byte-identical for any count.
 """
 
 from __future__ import annotations
@@ -67,34 +66,6 @@ def _positive(text: str) -> int:
     return value
 
 
-def _resolve_workers(args) -> int:
-    """--workers, else SKOLEMGEN_WORKERS, else 1; capped at the CPUs this
-    process may run on."""
-    workers = args.workers
-    env = os.environ.get("SKOLEMGEN_WORKERS")
-    if workers is None and env:
-        try:
-            workers = max(1, int(env))
-        except ValueError:
-            print(
-                f"skolemgen: ignoring non-integer SKOLEMGEN_WORKERS={env!r}",
-                file=sys.stderr,
-            )
-    if workers is None:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # not every platform has it
-        cpus = os.cpu_count() or 1
-    if workers > cpus:
-        print(
-            f"skolemgen: {workers} workers requested but {cpus} CPU(s) available; using {cpus}",
-            file=sys.stderr,
-        )
-        return cpus
-    return workers
-
-
 def _closed_values(text: str) -> tuple[int, ...]:
     """Values of a sequence in the text grammar that has no open arcs."""
     values, opens = parse_entries(text)
@@ -107,14 +78,13 @@ def _closed_values(text: str) -> tuple[int, ...]:
 # subcommands
 
 def cmd_count_open(args) -> int:
-    counts = engine.parallel_count(args.max_n, _resolve_workers(args))
+    counts = engine.parallel_count(args.max_n, args.workers)
     for n, c in enumerate(counts, start=1):
         print(f"n={n} count={c}")
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
-    workers = _resolve_workers(args)
     out = sys.stdout
     if args.out is not None:
         try:
@@ -124,7 +94,7 @@ def cmd_enumerate(args) -> int:
             return EXIT_IO
     count = 0
     try:
-        for seq in engine.parallel_enumerate(args.order, args.prune, workers):
+        for seq in engine.parallel_enumerate(args.order, args.prune, args.workers):
             record = OutputRecord.for_sequence(seq)
             line = record.ndjson() if args.format == "ndjson" else record.payload
             out.write(line + "\n")
@@ -161,11 +131,9 @@ def cmd_verify(args) -> int:
                 continue
             try:
                 values = _closed_values(line)
+                reason = skolem_violation(values)
             except InvalidSequenceError as exc:
-                print(f"FAIL {exc}")
-                all_ok = False
-                continue
-            reason = skolem_violation(values)
+                reason = exc
             if reason is None:
                 print(f"OK order={len(values) // 2}")
             else:
@@ -238,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-open", help="count open Skolem sequences per order")
     p.add_argument("--max-n", type=_positive, required=True, metavar="K")
-    p.add_argument("--workers", type=_positive, default=None)
+    p.add_argument("--workers", type=_positive, default=1)
     p.set_defaults(func=cmd_count_open)
 
     p = sub.add_parser("enumerate", help="list every Skolem sequence of an order")
@@ -246,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--format", choices=("text", "ndjson"), default="text")
     p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument("--workers", type=_positive, default=None)
+    p.add_argument("--workers", type=_positive, default=1)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="check sequences, one per line")
@@ -277,7 +245,7 @@ def run_to_stdout(func, *args) -> int:
         code = func(*args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except MemoryError as exc:
-        print(f"skolemgen: resource exhaustion: {exc}", file=sys.stderr)
+        print(f"skolemgen: resource exhaustion: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except BrokenPipeError:
         # Point stdout at /dev/null so the interpreter's final flush cannot fail.

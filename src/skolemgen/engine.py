@@ -167,6 +167,7 @@ depth 6 merges fewer.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 from collections import deque
@@ -676,16 +677,36 @@ def dfs_enumerate(target_order: int, prune: bool = True) -> EnumerationReport:
 # ---------------------------------------------------------------------------
 # parallel traversal
 
+def _worker_count(workers: int) -> int:
+    """``workers`` capped at the CPUs this process may run on, with a notice
+    on stderr when capped; below 1 is an error."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # not every platform has it
+        cpus = os.cpu_count() or 1
+    if workers > cpus:
+        print(
+            f"skolemgen: {workers} workers requested but {cpus} CPU(s) available; using {cpus}",
+            file=sys.stderr,
+        )
+        return cpus
+    return workers
+
+
 def parallel_count(max_order: int, workers: int = 1) -> list[int]:
     """count_open_levels with the tree split across worker processes.
 
-    The split sits at the first level holding at least 4x workers nodes;
-    output is identical to the sequential count for any worker count.  One
-    worker runs ``count_open_levels`` in process.
+    ``workers`` is capped at the CPUs this process may run on, with a notice
+    on stderr.  The split sits at the first level holding at least 4x
+    workers nodes; output is identical to the sequential count for any
+    worker count.  One worker runs ``count_open_levels`` in process.  Every
+    seed is queued at once, so no worker idles while the in-order merge
+    waits on a large first seed.
     """
+    workers = _worker_count(workers)
     _require_order(max_order)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1:
         return count_open_levels(max_order)
 
@@ -715,15 +736,15 @@ def parallel_enumerate(
 ) -> Iterator[SkolemSequence]:
     """enumerate_skolem with subtrees distributed across worker processes.
 
+    ``workers`` is capped as in ``parallel_count``, when the walk starts.
     The emitted multiset is identical to the sequential walk; results are
     yielded subtree by subtree in canonical seed order.  Closing the
     generator, or an error in it, cancels the subtrees still pending and
     waits only for those already handed to the worker processes.  One worker
     runs ``enumerate_skolem`` in process.
     """
+    workers = _worker_count(workers)
     _require_order(order)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1:
         yield from enumerate_skolem(order, prune)
         return

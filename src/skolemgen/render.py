@@ -10,21 +10,13 @@ version.
 
 from __future__ import annotations
 
-from .core import OpenState, SkolemSequence, parse_state, state_from_sequence
+from .core import OpenState, SkolemSequence, state_from_sequence
 
 SVG_FORMAT_VERSION = 1
 
 _SPACING = 30  # px between adjacent vertices; even, so semicircle radii stay integral
 _MARGIN = 24
 _STUB = 12  # open-arc stub radius, px
-
-
-def _as_state(obj: OpenState | SkolemSequence | str) -> OpenState:
-    if isinstance(obj, OpenState):
-        return obj
-    if isinstance(obj, SkolemSequence):
-        return state_from_sequence(obj)
-    return parse_state(obj)
 
 
 def _arcs(state: OpenState) -> list[tuple[int, int | None, int]]:
@@ -130,7 +122,7 @@ def render_arc_diagram(
     ``fmt`` is "ascii" or "svg".  Output is deterministic for a fixed input
     and format version.
     """
-    state = _as_state(obj)
+    state = obj if isinstance(obj, OpenState) else state_from_sequence(obj)
     if fmt == "ascii":
         return render_ascii(state)
     if fmt == "svg":

@@ -1,9 +1,9 @@
 """Command-line front end: output formats, exit codes, determinism, and the
 arc-diagram renderer."""
 
-import argparse
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -145,22 +145,6 @@ def test_enumerate_to_file(tmp_path, capsys):
 
 def test_enumerate_unwritable_path():
     assert run(["enumerate", "--order", "1", "--out", "/nonexistent/dir/x"]) == 4
-
-
-def test_enumerate_workers_env_fallback(monkeypatch, capsys):
-    run(["enumerate", "--order", "4"])
-    sequential = capsys.readouterr().out
-    monkeypatch.setenv("SKOLEMGEN_WORKERS", "2")
-    assert run(["enumerate", "--order", "4"]) == 0
-    assert capsys.readouterr().out == sequential
-
-
-def test_enumerate_bad_workers_env_falls_back(monkeypatch, capsys):
-    monkeypatch.setenv("SKOLEMGEN_WORKERS", "many")
-    assert run(["enumerate", "--order", "1"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "1,1\n"
-    assert "SKOLEMGEN_WORKERS" in captured.err
 
 
 def test_two_runs_byte_identical(capsys):
@@ -488,17 +472,49 @@ def test_resource_exhaustion_exits_3_for_every_command(monkeypatch, capsys, targ
     assert captured.err == "skolemgen: resource exhaustion: synthetic\n"
 
 
+def test_bare_memory_error_reads_out_of_memory(monkeypatch, capsys):
+    # the MemoryError CPython raises carries no message
+    def bare(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "render_arc_diagram", bare)
+    assert run(["render", "--sequence", "1,1"]) == 3
+    assert capsys.readouterr().err == "skolemgen: resource exhaustion: out of memory\n"
+
+
 def test_worker_count_is_capped_at_available_cpus(monkeypatch, capsys):
+    # the engine's one check and cap, which every caller goes through
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.delenv("SKOLEMGEN_WORKERS", raising=False)
-    assert cli._resolve_workers(argparse.Namespace(workers=64)) == 2
-    assert len(capsys.readouterr().err.splitlines()) == 1
-    monkeypatch.setenv("SKOLEMGEN_WORKERS", "64")
-    assert cli._resolve_workers(argparse.Namespace(workers=None)) == 2
-    assert len(capsys.readouterr().err.splitlines()) == 1
-    assert cli._resolve_workers(argparse.Namespace(workers=2)) == 2
-    assert cli._resolve_workers(argparse.Namespace(workers=1)) == 1
+    assert cli.engine._worker_count(64) == 2
+    assert capsys.readouterr().err == (
+        "skolemgen: 64 workers requested but 2 CPU(s) available; using 2\n"
+    )
+    assert cli.engine._worker_count(2) == 2
+    assert cli.engine._worker_count(1) == 1
     assert capsys.readouterr().err == ""
+
+
+_CAPPED = "skolemgen: 3 workers requested but 1 CPU(s) available; using 1\n"
+
+
+def test_capped_count_open_runs_one_worker_in_process(monkeypatch, capsys):
+    run(["count-open", "--max-n", "9"])
+    one_worker = capsys.readouterr().out
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run(["count-open", "--max-n", "9", "--workers", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == one_worker
+    assert captured.err == _CAPPED
+    assert multiprocessing.active_children() == []
+
+
+def test_capped_library_enumeration_runs_one_worker_in_process(monkeypatch, capsys):
+    # a library call is capped as the command line is
+    one_worker = [s.values for s in enumerate_skolem(5)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert [s.values for s in cli.engine.parallel_enumerate(5, True, 3)] == one_worker
+    assert capsys.readouterr().err == _CAPPED
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

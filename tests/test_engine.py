@@ -2,6 +2,7 @@
 soundness, parallel determinism, and resource-failure plumbing."""
 
 import multiprocessing
+import os
 import sys
 from collections import Counter
 
@@ -52,8 +53,15 @@ def test_full_state_levels_agree_with_compressed_counts():
     assert sizes == OPEN_COUNTS_12[:10]
 
 
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    """Let the split run at every worker count a test names, up to 8, on any
+    host: the engine caps the worker count at the CPUs it may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
+
 @pytest.mark.parametrize("workers", [2, 3, 8])
-def test_counts_with_closed_form_tail_match_full_states(workers):
+def test_counts_with_closed_form_tail_match_full_states(workers, eight_cpus):
     # the split puts seeds one, two or three levels short of some of these
     # targets
     for m in range(1, 9):
@@ -373,17 +381,17 @@ def test_prune_rejects_bad_target():
 # parallel traversal
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_parallel_count_matches_sequential(workers):
+def test_parallel_count_matches_sequential(workers, eight_cpus):
     assert parallel_count(12, workers) == OPEN_COUNTS_12
 
 
-def test_parallel_count_small_order_short_circuits():
+def test_parallel_count_small_order_short_circuits(eight_cpus):
     # tree never reaches the split threshold; prefix path must still be exact
     assert parallel_count(3, 8) == [1, 2, 4]
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_parallel_enumeration_preserves_canonical_order(workers):
+def test_parallel_enumeration_preserves_canonical_order(workers, eight_cpus):
     sequential = [s.values for s in enumerate_skolem(5)]
     parallel = [s.values for s in parallel_enumerate(5, True, workers)]
     assert parallel == sequential
@@ -404,7 +412,9 @@ def _logged_subtree(job, _run=engine._enumerate_subtree):
     return _run(job)
 
 
-def test_closing_parallel_enumeration_drops_unstarted_subtrees(monkeypatch, tmp_path):
+def test_closing_parallel_enumeration_drops_unstarted_subtrees(
+    monkeypatch, tmp_path, eight_cpus
+):
     # forked workers inherit both patches
     monkeypatch.setattr(sys.modules[__name__], "_JOB_LOG", tmp_path / "jobs")
     monkeypatch.setattr(engine, "_enumerate_subtree", _logged_subtree)
