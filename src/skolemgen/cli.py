@@ -14,7 +14,8 @@ input (including verification failures).  ``run_to_stdout`` runs every
 command, and every script in ``scripts/``: it ends a run whose stdout reader
 went away with 0 and one that ran out of memory with 3; I/O and invalid-input
 failures are reported by the commands, which name the step that failed.
-``sts`` takes exactly one of --sequence and --order.
+``sts`` takes exactly one of --sequence and --order, and --index only with
+--order.
 ``count-open`` and ``enumerate`` pass --workers (default 1) straight to
 ``engine.parallel_count`` and ``engine.parallel_enumerate``, which check it
 and cap it at the CPUs this process may run on; at one worker these run in
@@ -147,19 +148,23 @@ def cmd_verify(args) -> int:
 
 def cmd_sts(args) -> int:
     if args.sequence is not None:
+        if args.index is not None:
+            print("skolemgen: argument --index: not allowed with argument --sequence", file=sys.stderr)
+            return EXIT_USAGE
         try:
             w = SkolemSequence(_closed_values(args.sequence))
         except InvalidSequenceError as exc:
             print(f"skolemgen: invalid sequence: {exc}", file=sys.stderr)
             return EXIT_INVALID
     else:
-        if args.index < 0:
-            print(f"skolemgen: --index must be >= 0, got {args.index}", file=sys.stderr)
+        index = args.index or 0
+        if index < 0:
+            print(f"skolemgen: --index must be >= 0, got {index}", file=sys.stderr)
             return EXIT_USAGE
-        w = next(islice(engine.enumerate_skolem(args.order), args.index, None), None)
+        w = next(islice(engine.enumerate_skolem(args.order), index, None), None)
         if w is None:
             print(
-                f"skolemgen: no sequence of order {args.order} at index {args.index}",
+                f"skolemgen: no sequence of order {args.order} at index {index}",
                 file=sys.stderr,
             )
             return EXIT_INVALID
@@ -225,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--sequence", metavar="S")
     source.add_argument("--order", type=_positive, metavar="N")
-    p.add_argument("--index", type=int, default=0, metavar="I")
+    p.add_argument("--index", type=int, metavar="I")  # with --order only; default 0
     p.add_argument("--x", type=int, default=0, metavar="X")
     p.set_defaults(func=cmd_sts)
 

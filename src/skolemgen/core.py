@@ -271,17 +271,25 @@ def parse_entries(text: str) -> tuple[list[int], list[bool]]:
     ``parse_state`` builds the entries from this.  It is the one scanner of
     the grammar.  An accepted text is checked by C-level string and ``map``
     calls, with no Python code per token; only a rejected text is walked
-    token by token, to name the first bad token.
+    token by token, to name the first bad token.  A text of ASCII digits and
+    commas alone, the form every sequence is printed in, skips the strip and
+    ``*`` passes: its split tokens go straight to the digit check and
+    ``map(int)``.
     """
-    text = text.strip()
-    if not text:
-        return [], []
-    tokens = list(map(str.strip, text.split(",")))
-    bodies = list(map(str.removeprefix, tokens, repeat("*")))
-    opens = list(map(str.__ne__, tokens, bodies))  # open iff a "*" was removed
+    tokens = text.split(",")
+    digits = "".join(tokens)
+    if digits.isascii() and digits.isdigit():  # no "*", no whitespace
+        bodies, opens = tokens, [False] * len(tokens)
+    else:
+        text = text.strip()
+        if not text:
+            return [], []
+        tokens = list(map(str.strip, text.split(",")))
+        bodies = list(map(str.removeprefix, tokens, repeat("*")))
+        opens = list(map(str.__ne__, tokens, bodies))  # open iff a "*" was removed
+        digits = "".join(bodies)
     # int() alone would also take signs, underscores and non-ASCII digits;
     # an ASCII digit string joined from non-empty bodies rules all three out
-    digits = "".join(bodies)
     values = None
     if "" not in bodies and digits.isascii() and digits.isdigit():
         try:

@@ -11,8 +11,10 @@ no pair repeated, the v(v-1)/2 marked pairs are exactly all the pairs.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
+from operator import countOf
 from typing import Iterable, Sequence
 
 from .core import SkolemSequence
@@ -34,8 +36,10 @@ class TripleSystem:
     def __post_init__(self):
         # Each block becomes tuple(map(int, b)).  Blocks that already are
         # tuples of exact ints (develop_sts builds them so) are kept as they
-        # are: the two C-level type passes cost about a quarter of converting
-        # (45 against 185 ms for the 240,200 blocks of order 200, 2-vCPU Xeon).
+        # are: for the 240,200 blocks of order 200 the two C-level type passes
+        # take about 35 ms, where converting takes about 115 ms with the
+        # collector paused, as develop_sts pauses it, and 195 ms with it
+        # running (2-vCPU Xeon, Python 3.11).
         blocks = tuple(self.blocks)
         if not (
             set(map(type, blocks)) <= {tuple}
@@ -75,6 +79,13 @@ def develop_sts(base: Iterable[Triple], n: int) -> TripleSystem:
     Emits v*n blocks, translate-major, duplicates kept: a bad base fails in
     verify_sts instead of being silently papered over.  A base block with no
     points has no translates to zip, so it leaves the whole system empty.
+
+    The cyclic garbage collector is paused while the blocks are built, and
+    the caller's setting is restored on the way out, also on an error.  The
+    v*n new tuples hold only ints and form no cycles, but every 700 of them
+    start a collection, and the older generations' collections scan every
+    block built so far: for order 200 (240,200 blocks) that was 315 young,
+    29 middle and 1 full collection, about 65 ms of a 2-vCPU Xeon.
     """
     base = [tuple(b) for b in base]
     if len(base) != n:
@@ -87,10 +98,16 @@ def develop_sts(base: Iterable[Triple], n: int) -> TripleSystem:
         s = int(p % v)
         return points[s:] + points[:s]
 
-    # one iterator of the v translates per base block; zipping them walks t
-    # in the outer loop and the base blocks in the inner one
-    columns = [zip(*map(translates, b)) for b in base]
-    return TripleSystem(v=v, blocks=tuple(chain.from_iterable(zip(*columns))))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # one iterator of the v translates per base block; zipping them walks
+        # t in the outer loop and the base blocks in the inner one
+        columns = [zip(*map(translates, b)) for b in base]
+        return TripleSystem(v=v, blocks=tuple(chain.from_iterable(zip(*columns))))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def verify_sts(system: TripleSystem) -> bool:
@@ -120,14 +137,17 @@ def verify_sts(system: TripleSystem) -> bool:
 
 
 def format_triple_system(system: TripleSystem) -> str:
-    """Text form: header "v=<v>", then one block per line as three
-    space-separated integers."""
-    # "%d %d %d" % block for a triple, and likewise for any other length;
-    # one C-level format call per block
-    lengths = list(map(len, system.blocks))
-    formats = {k: " ".join(["%d"] * k) for k in set(lengths)}
-    blocks = map(str.__mod__, map(formats.__getitem__, lengths), system.blocks)
-    return "\n".join(chain((f"v={system.v}",), blocks))
+    """Text form: header "v=<v>", then one block per line as its points,
+    space-separated; a block of three points reads "a b c".
+
+    The block lines come from one C-level ``%`` call over all the points in
+    order.  Its format string holds one piece per run of blocks of equal
+    length, "\\n%d %d %d" repeated for a run of triples and likewise for any
+    other length, so no string and no list entry is made per block.
+    """
+    runs = groupby(map(len, system.blocks))
+    lines = "".join([("\n" + " ".join(["%d"] * k)) * countOf(run, k) for k, run in runs])
+    return f"v={system.v}" + lines % tuple(chain.from_iterable(system.blocks))
 
 
 def parse_triple_system(text: str) -> TripleSystem:

@@ -291,6 +291,14 @@ def test_sts_argument_validation():
     assert run(["sts", "--sequence", "1,1", "--x", "9"]) == 2  # x beyond 6n
 
 
+@pytest.mark.parametrize("index", ["5", "0", "-4"])
+def test_sts_index_is_refused_with_sequence(capsys, index):
+    assert run(["sts", "--sequence", "1,1", "--index", index]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "skolemgen: argument --index: not allowed with argument --sequence\n"
+
+
 # ---------------------------------------------------------------------------
 # render
 
@@ -573,6 +581,7 @@ def test_closed_values_matches_the_per_token_reference(tokens):
 
 @pytest.mark.parametrize("text", [
     "\u0663", "+2", "1_0", "0", "01", " 3 ", "", "3,,4", ",,", "*3", "3,*x", "*3,x", "*3,0", "*3,+2,*1",
+    "01,1", "1,", "1 ,1",
 ])
 def test_closed_values_named_cases(text):
     assert _outcome(cli._closed_values, text) == _outcome(_reference_closed_values, text)
@@ -584,3 +593,23 @@ def test_a_body_past_the_int_digit_limit_keeps_the_first_error(head):
     # is still the one named, and with none the body is named over-long
     text = head + "," + "1" * 5000
     assert _outcome(cli._closed_values, text) == _outcome(_reference_closed_values, text)
+
+
+@pytest.mark.parametrize("limit", [None, 0], ids=["default limit", "no limit"])
+def test_a_5000_digit_body_follows_the_int_digit_limit(limit):
+    # a plain digit line past int()'s limit leaves the one-pass path, and the
+    # token walk names it; with the limit lifted the one-pass path takes it
+    text = "1" * 5000 + ",1"
+    saved = sys.get_int_max_str_digits()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        got = _outcome(cli._closed_values, text)
+        expected = (
+            ("InvalidSequenceError", "parse: over-long token of 5000 digits")
+            if limit is None
+            else ("ok", (int("1" * 5000), 1))
+        )
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert got == expected

@@ -2,7 +2,6 @@
 soundness, parallel determinism, and resource-failure plumbing."""
 
 import multiprocessing
-import os
 import sys
 from collections import Counter
 
@@ -51,13 +50,6 @@ def test_level_sweep_counts_agree_with_dfs():
 def test_full_state_levels_agree_with_compressed_counts():
     sizes = [len(level) for level in iter_level_states(10)]
     assert sizes == OPEN_COUNTS_12[:10]
-
-
-@pytest.fixture
-def eight_cpus(monkeypatch):
-    """Let the split run at every worker count a test names, up to 8, on any
-    host: the engine caps the worker count at the CPUs it may run on."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 8])

@@ -1,10 +1,15 @@
 """Default output stays fixed: the SHA-256 of stdout, and the exit code, of
 each listed command, recorded before ``run_to_stdout`` took over the
-commands' MemoryError handling.  A digest that changes is a change of the
-output format.  Only stdout is hashed: on a one-CPU host the two-worker
-commands also warn on stderr that the worker count was capped."""
+commands' MemoryError handling.  The commands that read input (``verify``
+on stdin, ``sts --sequence``) were recorded before the parser's one-pass
+path for plain digit lines and the one-call STS text.  A digest that
+changes is a change of the output format.  Only stdout is hashed: on a
+one-CPU host the two-worker commands also warn on stderr that the worker
+count was capped."""
 
 import hashlib
+import io
+import sys
 
 import pytest
 
@@ -64,5 +69,72 @@ def test_stdout_is_byte_identical(capsys, command, code, digest):
         got = cli.main(command.split())
     except SystemExit as exc:
         got = exc.code
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def _skolem_4s(order):
+    """A Skolem sequence of order 4s (s >= 2), from its 1-based position pairs."""
+    s = order // 4
+    pairs = [(4 * s + r - 1, 8 * s - r + 1) for r in range(1, 2 * s + 1)]
+    pairs += [(r, 4 * s - r - 1) for r in range(1, s - 1)]
+    pairs += [(s + r + 1, 3 * s - r) for r in range(1, s - 1)]
+    pairs += [(s - 1, 3 * s), (s, s + 1), (2 * s, 4 * s - 1), (2 * s + 1, 6 * s)]
+    values = [0] * (2 * order)
+    for a, b in pairs:
+        values[a - 1] = values[b - 1] = b - a
+    return ",".join(map(str, values))
+
+
+ORDER_12 = "12,10,8,6,11,9,7,1,1,6,8,10,12,7,9,11,5,2,4,2,3,5,4,3"
+
+# Every FAIL tag verify can print (``empty`` and ``value`` cannot come from a
+# line: a non-blank line has a token, and the grammar takes only positive
+# values), OK lines, and the edges of the grammar: a "*" token, whitespace
+# around tokens, a non-ASCII digit, leading zeros, empty tokens, and bodies
+# at and over int()'s default limit of 4,300 digits.
+VERIFY_INPUT = "\n".join([
+    "4,2,3,2,4,3,1,1",
+    "1,1",
+    ORDER_12,
+    _skolem_4s(100),
+    "1,1,1",
+    "2,2",
+    "1,2,1,2",
+    "*2,1,1,*1",
+    "3,*x",
+    " 1 , 1 ",
+    "1\t,\t1",
+    "",
+    "   ",
+    "\u0663,1",
+    "1,\uff11",
+    "01,01",
+    "001,1,1",
+    "0,0",
+    "00,1",
+    "1,,1",
+    "1,1,",
+    ",1,1",
+    "1" * 4300 + ",1",
+    "1" * 4301 + ",1",
+    "1" * 5000 + ",1",
+    "x," + "1" * 5000,
+]) + "\n"
+
+GOLDEN_WITH_INPUT = [
+    ("verify", ["verify"], VERIFY_INPUT, 5, "9477866cf1d33c905c7f5ade6405c4d324802d8cee7ebd43e858f0e4c2236a82"),
+    ("sts --sequence <order 12> --x 5", ["sts", "--sequence", ORDER_12, "--x", "5"], "", 0,
+     "474d5093c45f09948167f8dd50991a76e65d4335a9e84402457d3e1a1afd1720"),
+    ("sts --sequence <order 100> --x 7", ["sts", "--sequence", _skolem_4s(100), "--x", "7"], "", 0,
+     "19818745cb8b5801085de62ef96b368ab2000d00855f942bc854c353e60d3924"),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, code, digest", [row[1:] for row in GOLDEN_WITH_INPUT],
+                         ids=[row[0] for row in GOLDEN_WITH_INPUT])
+def test_stdout_is_byte_identical_with_input(capsys, monkeypatch, argv, stdin, code, digest):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    got = cli.main(argv)
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -1,8 +1,9 @@
 """Steiner triple systems built from Skolem sequences."""
 
+import gc
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +229,54 @@ def test_format_matches_the_join_form_for_any_block_shape(blocks):
     ts = TripleSystem(7, blocks)
     expected = "\n".join([f"v={ts.v}"] + [" ".join(str(p) for p in b) for b in ts.blocks])
     assert format_triple_system(ts) == expected
+
+
+def _per_block_format(system):
+    """format_triple_system as it was: one "%d ... %d" % block call, and one
+    string, per block."""
+    lengths = list(map(len, system.blocks))
+    formats = {k: " ".join(["%d"] * k) for k in set(lengths)}
+    blocks = map(str.__mod__, map(formats.__getitem__, lengths), system.blocks)
+    return "\n".join(chain((f"v={system.v}",), blocks))
+
+
+@pytest.mark.parametrize("blocks", [
+    (),
+    ((),),
+    ((), ()),
+    ((5,),),
+    ((5, 0),),
+    ((1, 2, 3, 4),),
+    ((0, 1, 3), (), (6,), (2, 4), (1, 2, 3, 4), ()),
+    ((10**30, 7, 8), (-3, 0, 2)),
+], ids=["empty system", "one empty block", "two empty blocks", "one point", "two points",
+        "four points", "mixed shapes", "wide and negative points"])
+def test_format_matches_the_per_block_reference(blocks):
+    ts = TripleSystem(13, blocks)
+    assert format_triple_system(ts) == _per_block_format(ts)
+
+
+def test_text_round_trip_at_order_12():
+    w = next(iter(enumerate_skolem(12)))
+    ts = develop_sts(base_blocks(w, 5), 12)
+    text = format_triple_system(ts)
+    assert text.count("\n") == len(ts.blocks) == 73 * 12
+    assert parse_triple_system(text) == ts
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+def test_develop_restores_the_callers_gc_setting(enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert len(develop_sts(base_blocks(W4, 3), 4).blocks) == 100
+        assert gc.isenabled() is enabled
+        # a point that takes no "% v" fails inside the build
+        with pytest.raises(TypeError):
+            develop_sts([(0, 1, 3), (0, "x", 5)], 2)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_triple_system_normalises_blocks_to_tuples_of_ints():
