@@ -17,9 +17,12 @@ failures are reported by the commands, which name the step that failed.
 ``sts`` takes exactly one of --sequence and --order, and --index only with
 --order.
 ``count-open`` and ``enumerate`` pass --workers (default 1) straight to
-``engine.parallel_count`` and ``engine.parallel_enumerate``, which check it
+``engine.parallel_count`` and ``engine.parallel_leaves``, which check it
 and cap it at the CPUs this process may run on; at one worker these run in
-process, and the output is byte-identical for any count.
+process, and the output is byte-identical for any count.  ``enumerate``
+prints each leaf's value tuple through one ``%`` format per run and builds
+no object per leaf: a leaf of the walk is a Skolem sequence by construction
+(see ``engine``).
 """
 
 from __future__ import annotations
@@ -93,12 +96,14 @@ def cmd_enumerate(args) -> int:
         except OSError as exc:
             print(f"skolemgen: cannot open {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
+    # The line shape is OutputRecord's, with a %d field in place of each value.
+    record = OutputRecord(",".join(["%d"] * 2 * args.order), args.order)
+    line = (record.ndjson() if args.format == "ndjson" else record.payload) + "\n"
     count = 0
     try:
-        for seq in engine.parallel_enumerate(args.order, args.prune, args.workers):
-            record = OutputRecord.for_sequence(seq)
-            line = record.ndjson() if args.format == "ndjson" else record.payload
-            out.write(line + "\n")
+        write = out.write
+        for vals in engine.parallel_leaves(args.order, args.prune, args.workers):
+            write(line % vals)
             count += 1
         out.flush()
     except OSError as exc:
@@ -161,13 +166,14 @@ def cmd_sts(args) -> int:
         if index < 0:
             print(f"skolemgen: --index must be >= 0, got {index}", file=sys.stderr)
             return EXIT_USAGE
-        w = next(islice(engine.enumerate_skolem(args.order), index, None), None)
-        if w is None:
+        vals = next(islice(engine.parallel_leaves(args.order), index, None), None)
+        if vals is None:
             print(
                 f"skolemgen: no sequence of order {args.order} at index {index}",
                 file=sys.stderr,
             )
             return EXIT_INVALID
+        w = SkolemSequence(vals)
     try:
         base = base_blocks(w, args.x)
     except ValueError as exc:

@@ -21,6 +21,18 @@ it ends.  ``_iter_counts_levels`` and
 ``iter_level_states`` recount the tree by other means; only the tests call
 them, as cross-checks.
 
+A leaf of the walk is a Skolem sequence by construction, so it needs no
+check.  The walk yields a node of full length n = 2N only when U holds the
+lengths 1..N; since n = 2 popcount(U) + p with p open arcs, U is exactly
+{1..N} and no arc is open.  Every position is the start or the end of one
+arc, and closing ``*j`` wrote ``ent[n-1] = ent[n-1-j] = j``, both ends of
+that arc and no other position, once for each length j.  So the buffer
+holds each of 1..N exactly twice, at gap j.  ``parallel_leaves`` yields
+these values as plain tuples, and ``skolemgen enumerate`` prints them as
+they are.  ``enumerate_skolem`` and ``parallel_enumerate`` build each leaf
+as a ``SkolemSequence``, which validates it again, as it validates every
+sequence that does not come from the walk.
+
 A node's state fixes how many children it has: the opener plus one closer
 per open value whose length is unused, ``1 + c`` with C = O & ~U and
 c = popcount(C).  Its grandchildren have a closed form too.  With
@@ -731,27 +743,28 @@ def _enumerate_subtree(
     return list(_leaves(seed, prefix, order, [0] * (2 * order + 1), cut))
 
 
-def parallel_enumerate(
+def parallel_leaves(
     order: int, prune: bool = True, workers: int = 1
-) -> Iterator[SkolemSequence]:
-    """enumerate_skolem with subtrees distributed across worker processes.
+) -> Iterator[tuple[int, ...]]:
+    """The values of every Skolem sequence of the given order, as plain
+    tuples in canonical child order, with subtrees distributed across worker
+    processes.  The walk builds only Skolem leaves (see the module
+    docstring), so nothing here validates them.
 
     ``workers`` is capped as in ``parallel_count``, when the walk starts.
-    The emitted multiset is identical to the sequential walk; results are
-    yielded subtree by subtree in canonical seed order.  Closing the
-    generator, or an error in it, cancels the subtrees still pending and
-    waits only for those already handed to the worker processes.  One worker
-    runs ``enumerate_skolem`` in process.
+    The stream is identical for any worker count; results are yielded
+    subtree by subtree in canonical seed order.  Closing the generator, or
+    an error in it, cancels the subtrees still pending and waits only for
+    those already handed to the worker processes.  One worker walks in
+    process.
     """
     workers = _worker_count(workers)
     _require_order(order)
-    if workers == 1:
-        yield from enumerate_skolem(order, prune)
-        return
-
-    prefix, seeds = _split(2 * order, workers)
-    if len(prefix) == 2 * order:
-        yield from enumerate_skolem(order, prune)
+    if workers > 1:
+        prefix, seeds = _split(2 * order, workers)
+    if workers == 1 or len(prefix) == 2 * order:
+        cut = [0] if prune else None
+        yield from _leaves(_ROOT, (), order, [0] * (2 * order + 1), cut)
         return
 
     from concurrent.futures import ProcessPoolExecutor  # as in parallel_count
@@ -767,7 +780,21 @@ def parallel_enumerate(
         while window:
             leaves = window.popleft().result()
             window.extend(pool.submit(_enumerate_subtree, job) for job in islice(jobs, 1))
-            for vals in leaves:
-                yield SkolemSequence(vals)
+            yield from leaves
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def parallel_enumerate(
+    order: int, prune: bool = True, workers: int = 1
+) -> Iterator[SkolemSequence]:
+    """enumerate_skolem with subtrees distributed across worker processes:
+    ``parallel_leaves``, each leaf built as a validated ``SkolemSequence``.
+    Closing this generator closes that stream, with its worker processes.
+    """
+    leaves = parallel_leaves(order, prune, workers)
+    try:
+        for vals in leaves:
+            yield SkolemSequence(vals)
+    finally:
+        leaves.close()

@@ -1,6 +1,7 @@
 """Command-line front end: output formats, exit codes, determinism, and the
 arc-diagram renderer."""
 
+import hashlib
 import io
 import json
 import multiprocessing
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from skolemgen import cli
 from skolemgen.core import Entry, InvalidSequenceError, SkolemSequence, parse_entries, parse_state
 from skolemgen.engine import enumerate_skolem
+from skolemgen.oracle import oracle_validate
 from skolemgen.render import render_arc_diagram
 from skolemgen.sts import develop_sts, base_blocks
 
@@ -152,6 +154,34 @@ def test_two_runs_byte_identical(capsys):
     first = capsys.readouterr().out
     run(["enumerate", "--order", "5", "--format", "ndjson"])
     assert capsys.readouterr().out == first
+
+
+SKOLEM_COUNTS = [1, 0, 0, 6, 10, 0, 0, 504, 2656, 0]  # orders 1..10
+
+
+def _printed_values(line, fmt, order):
+    """The values of one printed record; an ndjson line must be json.dumps's text."""
+    if fmt == "text":
+        return [int(tok) for tok in line.split(",")]
+    record = json.loads(line)
+    assert line == json.dumps({"order": order, "values": record["values"]})
+    return record["values"]
+
+
+@pytest.mark.parametrize("prune, orders", [("--prune", 10), ("--no-prune", 6)])
+@pytest.mark.parametrize("fmt", ["text", "ndjson"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_every_printed_leaf_is_a_skolem_sequence(capsys, eight_cpus, prune, orders, fmt, workers):
+    # enumerate prints the walk's leaves without validating them, so check
+    # every line with the independent validator
+    for order in range(1, orders + 1):
+        argv = ["enumerate", "--order", str(order), prune, "--format", fmt, "--workers", workers]
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == SKOLEM_COUNTS[order - 1]
+        for line in lines:
+            values = _printed_values(line, fmt, order)
+            assert len(values) == 2 * order and oracle_validate(values)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +476,27 @@ def test_closed_pipe_is_a_normal_exit(tmp_path, argv):
     assert err == b""
 
 
+# SHA-256 of the first 20,000 lines of `enumerate --order 12 --format ndjson`,
+# recorded before enumerate printed leaves without building SkolemSequences
+ORDER_12_PREFIX = 20_000
+ORDER_12_PREFIX_SHA256 = "c85ced9288b48a0d3092f0b517c0636c802fb00b7fcc1ffa228c58944443fae8"
+
+
+def test_order_12_ndjson_prefix_is_valid_and_fixed():
+    proc = _cli_process(["enumerate", "--order", "12", "--format", "ndjson"], subprocess.DEVNULL)
+    lines = [proc.stdout.readline() for _ in range(ORDER_12_PREFIX)]
+    proc.stdout.close()  # the child's next write fails: a normal exit
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=120)
+    assert code == 0
+    assert err == b""
+    assert hashlib.sha256(b"".join(lines)).hexdigest() == ORDER_12_PREFIX_SHA256
+    for line in lines:
+        values = _printed_values(line.decode().rstrip("\n"), "ndjson", 12)
+        assert len(values) == 24 and oracle_validate(values)
+
+
 def test_count_open_into_closed_pipe_is_a_normal_exit(monkeypatch, capsys):
     # count-open prints too little to outrun a reader, so close the read end
     # before the first write
@@ -460,11 +511,11 @@ def test_count_open_into_closed_pipe_is_a_normal_exit(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "target, argv",
     [
-        ("engine.enumerate_skolem", ["enumerate", "--order", "9", "--workers", "1"]),
+        ("engine.parallel_leaves", ["enumerate", "--order", "9", "--workers", "1"]),
         # forked workers inherit the patch; the pool re-raises their MemoryError
         ("engine._enumerate_subtree", ["enumerate", "--order", "9", "--workers", "2"]),
         ("develop_sts", ["sts", "--sequence", "1,1"]),
-        ("engine.enumerate_skolem", ["sts", "--order", "4"]),
+        ("engine.parallel_leaves", ["sts", "--order", "4"]),
         ("skolem_violation", ["verify"]),
         ("render_arc_diagram", ["render", "--sequence", "1,1"]),
     ],

@@ -27,6 +27,7 @@ from skolemgen.engine import (
     iter_level_states,
     parallel_count,
     parallel_enumerate,
+    parallel_leaves,
     prune_feasible,
 )
 from skolemgen.oracle import oracle_enumerate
@@ -404,26 +405,33 @@ def _logged_subtree(job, _run=engine._enumerate_subtree):
     return _run(job)
 
 
+# the validated view and the raw stream under it both own the worker pool
+STREAMS = pytest.mark.parametrize("stream_of", [parallel_enumerate, parallel_leaves])
+
+
+@STREAMS
 def test_closing_parallel_enumeration_drops_unstarted_subtrees(
-    monkeypatch, tmp_path, eight_cpus
+    monkeypatch, tmp_path, eight_cpus, stream_of
 ):
     # forked workers inherit both patches
     monkeypatch.setattr(sys.modules[__name__], "_JOB_LOG", tmp_path / "jobs")
     monkeypatch.setattr(engine, "_enumerate_subtree", _logged_subtree)
     workers = 3
     seeds = len(engine._split(16, workers)[1])
-    stream = parallel_enumerate(8, True, workers)
-    assert next(stream).values == next(enumerate_skolem(8)).values
+    stream = stream_of(8, True, workers)
+    first = next(stream)
+    assert getattr(first, "values", first) == next(enumerate_skolem(8)).values
     stream.close()
     ran = len((tmp_path / "jobs").read_text().splitlines())
     # 4x workers subtrees submitted up front, and one more once the first is read
     assert 1 <= ran <= 4 * workers + 1 < seeds
 
 
-def test_parallel_runs_leave_no_worker_process():
+@STREAMS
+def test_parallel_runs_leave_no_worker_process(stream_of):
     assert parallel_count(12, 2) == OPEN_COUNTS_12
     assert multiprocessing.active_children() == []
-    stream = parallel_enumerate(8, True, 2)
+    stream = stream_of(8, True, 2)
     next(stream)
     stream.close()
     assert multiprocessing.active_children() == []

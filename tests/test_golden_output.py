@@ -2,7 +2,10 @@
 each listed command, recorded before ``run_to_stdout`` took over the
 commands' MemoryError handling.  The commands that read input (``verify``
 on stdin, ``sts --sequence``) were recorded before the parser's one-pass
-path for plain digit lines and the one-call STS text.  A digest that
+path for plain digit lines and the one-call STS text.  The rows for
+``enumerate --format ndjson --order 9 --workers 2`` and
+``enumerate --format ndjson --no-prune --order 5`` were recorded before
+``enumerate`` printed leaves without building objects.  A digest that
 changes is a change of the output format.  Only stdout is hashed: on a
 one-CPU host the two-worker commands also warn on stderr that the worker
 count was capped."""
@@ -47,6 +50,8 @@ GOLDEN = [
     ("enumerate --format ndjson --order 7", 0, EMPTY),
     ("enumerate --format ndjson --order 8", 0, "022b98cc9ba5f6d643fd14ae8a2e8026104b0db0d015f50e345e41c34cd1b933"),
     ("enumerate --format ndjson --order 9", 0, "d20aa92edf473508350e9223a5b55f5f261f48054b20e2aa017a47a2ea0137c9"),
+    ("enumerate --format ndjson --order 9 --workers 2", 0, "d20aa92edf473508350e9223a5b55f5f261f48054b20e2aa017a47a2ea0137c9"),
+    ("enumerate --format ndjson --no-prune --order 5", 0, "3a805131fc2e86762279d44de480074ebaa4ae8c6c0566ebf89ca74dd995bfcd"),
     ("enumerate --no-prune --order 1", 0, "660d27866c015bac26537ee8c3f4d4bd0822c690b976244961d61951e88520fb"),
     ("enumerate --no-prune --order 2", 0, EMPTY),
     ("enumerate --no-prune --order 3", 0, EMPTY),
@@ -71,6 +76,13 @@ def test_stdout_is_byte_identical(capsys, command, code, digest):
         got = exc.code
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_enumerate_out_file_holds_the_stdout_bytes(tmp_path):
+    digest = {row[0]: row[2] for row in GOLDEN}["enumerate --order 8 --workers 1"]
+    path = tmp_path / "out.txt"
+    assert cli.main(["enumerate", "--order", "8", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def _skolem_4s(order):
