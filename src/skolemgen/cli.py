@@ -15,7 +15,9 @@ command, and every script in ``scripts/``: it ends a run whose stdout reader
 went away with 0 and one that ran out of memory with 3; I/O and invalid-input
 failures are reported by the commands, which name the step that failed.
 ``sts`` takes exactly one of --sequence and --order, and --index only with
---order.
+--order.  It streams its system: each translate of the base blocks is
+printed and marked in the pair cover as it is developed, so no list of the
+v*n blocks is built.
 ``count-open`` and ``enumerate`` pass --workers (default 1) straight to
 ``engine.parallel_count`` and ``engine.parallel_leaves``, which check it
 and cap it at the CPUs this process may run on; at one worker these run in
@@ -36,7 +38,7 @@ from itertools import islice
 from . import engine
 from .core import InvalidSequenceError, SkolemSequence, parse_entries, skolem_violation
 from .render import render_arc_diagram
-from .sts import base_blocks, develop_sts, format_triple_system, verify_sts
+from .sts import base_blocks, develop_rows, mark_blocks
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -179,12 +181,25 @@ def cmd_sts(args) -> int:
     except ValueError as exc:
         print(f"skolemgen: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    system = develop_sts(base, w.order)
-    ok = verify_sts(system)
+    # The system is printed and checked one translate at a time, in the text
+    # and with the checks of format_triple_system and verify_sts.  The rows
+    # and the cover, the one O(v^2) object, come first: running out of memory
+    # there leaves stdout empty.
+    n = w.order
+    v = 6 * n + 1
+    rows = develop_rows(base, n)
+    cover = bytearray(v * v)
     for a, b, c in base:
         print(f"base ({a},{b},{c})")
-    print(format_triple_system(system))
-    print("VERIFIED" if ok else "FAILED")
+    write = sys.stdout.write
+    write(f"v={v}")
+    line = "\n%d %d %d" * n
+    ok = True
+    for row in rows:
+        write(line % row)
+        ok = ok and mark_blocks(cover, v, zip(*[iter(row)] * 3))
+    ok = ok and cover.count(1) == v * (v - 1) // 2
+    print("\nVERIFIED" if ok else "\nFAILED")
     return EXIT_OK if ok else EXIT_INVALID
 
 

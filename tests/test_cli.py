@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from skolemgen.core import Entry, InvalidSequenceError, SkolemSequence, parse_en
 from skolemgen.engine import enumerate_skolem
 from skolemgen.oracle import oracle_validate
 from skolemgen.render import render_arc_diagram
-from skolemgen.sts import develop_sts, base_blocks
+from skolemgen.sts import base_blocks, develop_sts, format_triple_system
+from test_golden_output import _skolem_4s
 
 
 def run(argv):
@@ -295,6 +297,51 @@ def test_sts_block_lines_match_library(capsys):
     assert lines[2:-1] == [" ".join(map(str, b)) for b in ts.blocks]
 
 
+def _library_text(base, n, verdict):
+    """What ``sts`` prints for a base: its lines, then the library's text of
+    the developed system and the verdict."""
+    head = "".join(f"base ({a},{b},{c})\n" for a, b, c in base)
+    return head + format_triple_system(develop_sts(base, n)) + f"\n{verdict}\n"
+
+
+@pytest.mark.parametrize("order", [1, 4, 5, 8])
+def test_sts_stream_equals_the_library_text(capsys, order):
+    for w in enumerate_skolem(order):
+        for x in (0, 1, 6 * order):
+            assert run(["sts", "--sequence", str(w), "--x", str(x)]) == 0
+            assert capsys.readouterr().out == _library_text(base_blocks(w, x), order, "VERIFIED")
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        [(0, 3, 8), (0, 3, 8), (0, 2, 9), (0, 1, 12)],
+        [(0, 3, 8), (0, 4, 29), (0, 2, 9), (0, 1, 12)],
+    ],
+    ids=["block repeated", "two points equal mod v"],
+)
+def test_sts_stream_prints_a_damaged_system_and_fails(monkeypatch, capsys, base):
+    # the first translate already fails; every later one is still printed
+    monkeypatch.setattr(cli, "base_blocks", lambda w, x: base)
+    assert run(["sts", "--sequence", "3,4,2,3,2,4,1,1"]) == 5
+    assert capsys.readouterr().out == _library_text(base, 4, "FAILED")
+
+
+def test_sts_holds_only_the_cover_and_one_translate(monkeypatch):
+    # STS(1201): the v*v cover is 1.4 MiB, where the 240,200 blocks and their
+    # text took over 27 MiB when the system was built whole
+    argv = ["sts", "--sequence", _skolem_4s(200), "--x", "11"]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_sts_invalid_sequence(capsys):
     assert run(["sts", "--sequence", "1,1,2,2"]) == 5
     assert run(["sts", "--sequence", "one,one"]) == 5
@@ -457,10 +504,13 @@ def _cli_process(argv, stdin):
     )
 
 
-@pytest.mark.parametrize("argv", [["enumerate", "--order", "9"], ["verify"]])
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--order", "9"], ["verify"], ["sts", "--sequence", _skolem_4s(200)]]
+)
 def test_closed_pipe_is_a_normal_exit(tmp_path, argv):
-    # both commands print well over a pipe buffer, so closing the read end
-    # after one line makes a later write fail with EPIPE
+    # each command prints well over a pipe buffer, so closing the read end
+    # after one line makes a later write fail with EPIPE; sts meets it part
+    # way through its stream of translates
     lines = [str(s) for s in enumerate_skolem(8)] * 40
     source = tmp_path / "in.txt"
     source.write_text("\n".join(lines) + "\n")
@@ -514,7 +564,7 @@ def test_count_open_into_closed_pipe_is_a_normal_exit(monkeypatch, capsys):
         ("engine.parallel_leaves", ["enumerate", "--order", "9", "--workers", "1"]),
         # forked workers inherit the patch; the pool re-raises their MemoryError
         ("engine._enumerate_subtree", ["enumerate", "--order", "9", "--workers", "2"]),
-        ("develop_sts", ["sts", "--sequence", "1,1"]),
+        ("develop_rows", ["sts", "--sequence", "1,1"]),
         ("engine.parallel_leaves", ["sts", "--order", "4"]),
         ("skolem_violation", ["verify"]),
         ("render_arc_diagram", ["render", "--sequence", "1,1"]),

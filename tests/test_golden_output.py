@@ -5,7 +5,9 @@ on stdin, ``sts --sequence``) were recorded before the parser's one-pass
 path for plain digit lines and the one-call STS text.  The rows for
 ``enumerate --format ndjson --order 9 --workers 2`` and
 ``enumerate --format ndjson --no-prune --order 5`` were recorded before
-``enumerate`` printed leaves without building objects.  A digest that
+``enumerate`` printed leaves without building objects, and the row
+``sts --sequence <order 200> --x 600`` before ``sts`` streamed its system one
+translate at a time.  A digest that
 changes is a change of the output format.  Only stdout is hashed: on a
 one-CPU host the two-worker commands also warn on stderr that the worker
 count was capped."""
@@ -140,6 +142,8 @@ GOLDEN_WITH_INPUT = [
      "474d5093c45f09948167f8dd50991a76e65d4335a9e84402457d3e1a1afd1720"),
     ("sts --sequence <order 100> --x 7", ["sts", "--sequence", _skolem_4s(100), "--x", "7"], "", 0,
      "19818745cb8b5801085de62ef96b368ab2000d00855f942bc854c353e60d3924"),
+    ("sts --sequence <order 200> --x 600", ["sts", "--sequence", _skolem_4s(200), "--x", "600"], "", 0,
+     "3d3d1ac8d429a7a80ea6b05ba1a1223e6d31a703543677ad165b18c10e7e0faa"),
 ]
 
 

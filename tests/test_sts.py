@@ -14,6 +14,7 @@ from skolemgen.engine import enumerate_skolem
 from skolemgen.sts import (
     TripleSystem,
     base_blocks,
+    develop_rows,
     develop_sts,
     format_triple_system,
     parse_triple_system,
@@ -209,6 +210,36 @@ def test_develop_matches_the_translate_major_comprehension(case):
     ts = develop_sts(base, n)
     assert ts.v == v
     assert ts.blocks == tuple(tuple((p + t) % v for p in b) for t in range(v) for b in base)
+
+
+@given(
+    st.integers(0, 3).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(-60, 60), max_size=4), min_size=n, max_size=n),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_develop_rows_are_the_comprehension_for_any_block_shape(case):
+    # blocks of mixed sizes are cut back out of the rows; an empty block
+    # empties the system
+    n, base = case
+    v = 6 * n + 1
+    expected = [tuple((p + t) % v for p in b) for t in range(v) for b in base]
+    if not all(base):
+        expected = []
+    assert develop_sts(base, n).blocks == tuple(expected)
+    rows = list(develop_rows(base, n))
+    assert rows == [tuple(chain.from_iterable(expected[t * n:(t + 1) * n])) for t in range(len(rows))]
+    assert len(rows) == (v if expected else 0)
+
+
+def test_develop_rows_checks_the_base_when_called():
+    with pytest.raises(ValueError):
+        develop_rows([(0, 1, 3)], 2)
+    with pytest.raises(TypeError):
+        develop_rows([(0, 1, 3), (0, "x", 5)], 2)
 
 
 def test_develop_takes_real_points_as_the_comprehension_did():
