@@ -11,13 +11,15 @@ Subcommands::
 
 Exit codes: 0 ok, 2 usage, 3 resource exhaustion, 4 I/O failure, 5 invalid
 input (including verification failures).  ``run_to_stdout`` runs every
-command, and every script in ``scripts/``: it ends a run whose stdout reader
-went away with 0 and one that ran out of memory with 3; I/O and invalid-input
-failures are reported by the commands, which name the step that failed.
+command, and every script in ``scripts/``, and is the one place that turns
+a failure into an exit code: a closed pipe, on stdout or on an --out path,
+ends the run with 0; any other I/O failure (an OSError) ends it with 4 and
+one line naming the error and, when it has one, the path; running out of
+memory ends it with 3.  The commands report only usage and invalid-input
+failures, and open their files with ``with``.
 ``sts`` takes exactly one of --sequence and --order, and --index only with
---order.  It streams its system: each translate of the base blocks is
-printed and marked in the pair cover as it is developed, so no list of the
-v*n blocks is built.
+--order.  ``sts.write_sts`` prints and checks its system one translate at a
+time, so no list of the v*n blocks is built.
 ``count-open`` and ``enumerate`` pass --workers (default 1) straight to
 ``engine.parallel_count`` and ``engine.parallel_leaves``, which check it
 and cap it at the CPUs this process may run on; at one worker these run in
@@ -32,13 +34,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
 
 from . import engine
 from .core import InvalidSequenceError, SkolemSequence, parse_entries, skolem_violation
 from .render import render_arc_diagram
-from .sts import base_blocks, develop_rows, mark_blocks
+from .sts import base_blocks, write_sts
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,6 +74,12 @@ def _positive(text: str) -> int:
     return value
 
 
+def _output(path: str | None):
+    """The file at ``path``, opened for writing, or stdout when there is no
+    path, as a context manager that closes only the file."""
+    return nullcontext(sys.stdout) if path is None else open(path, "w")
+
+
 def _closed_values(text: str) -> tuple[int, ...]:
     """Values of a sequence in the text grammar that has no open arcs."""
     values, opens = parse_entries(text)
@@ -91,48 +99,30 @@ def cmd_count_open(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    out = sys.stdout
-    if args.out is not None:
-        try:
-            out = open(args.out, "w")
-        except OSError as exc:
-            print(f"skolemgen: cannot open {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
     # The line shape is OutputRecord's, with a %d field in place of each value.
     record = OutputRecord(",".join(["%d"] * 2 * args.order), args.order)
     line = (record.ndjson() if args.format == "ndjson" else record.payload) + "\n"
     count = 0
-    try:
+    with _output(args.out) as out:
         write = out.write
         for vals in engine.parallel_leaves(args.order, args.prune, args.workers):
             write(line % vals)
             count += 1
         out.flush()
-    except OSError as exc:
-        if isinstance(exc, BrokenPipeError) and out is sys.stdout:
-            raise  # the reader went away; main() ends the run normally
-        print(f"skolemgen: write failed: {exc}", file=sys.stderr)
-        return EXIT_IO
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(f"skolemgen: {count} sequence(s) of order {args.order}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     # undecodable bytes reach the grammar as lone surrogates, from a file or stdin
-    fh = sys.stdin
     if args.infile is not None:
-        try:
-            fh = open(args.infile, errors="surrogateescape")
-        except OSError as exc:
-            print(f"skolemgen: cannot read {args.infile}: {exc}", file=sys.stderr)
-            return EXIT_IO
-    elif hasattr(fh, "reconfigure"):  # an io.StringIO holds decoded text already
-        fh.reconfigure(errors="surrogateescape")
+        source = open(args.infile, errors="surrogateescape")
+    else:
+        if hasattr(sys.stdin, "reconfigure"):  # an io.StringIO holds decoded text already
+            sys.stdin.reconfigure(errors="surrogateescape")
+        source = nullcontext(sys.stdin)
     all_ok = True
-    try:
+    with source as fh:
         for raw in fh:
             line = raw.strip()
             if not line:
@@ -147,9 +137,6 @@ def cmd_verify(args) -> int:
             else:
                 print(f"FAIL {reason}")
                 all_ok = False
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
     return EXIT_OK if all_ok else EXIT_INVALID
 
 
@@ -168,7 +155,9 @@ def cmd_sts(args) -> int:
         if index < 0:
             print(f"skolemgen: --index must be >= 0, got {index}", file=sys.stderr)
             return EXIT_USAGE
-        vals = next(islice(engine.parallel_leaves(args.order), index, None), None)
+        # counted here, as islice refuses an index past sys.maxsize
+        leaves = enumerate(engine.parallel_leaves(args.order))
+        vals = next((leaf for i, leaf in leaves if i == index), None)
         if vals is None:
             print(
                 f"skolemgen: no sequence of order {args.order} at index {index}",
@@ -181,25 +170,8 @@ def cmd_sts(args) -> int:
     except ValueError as exc:
         print(f"skolemgen: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # The system is printed and checked one translate at a time, in the text
-    # and with the checks of format_triple_system and verify_sts.  The rows
-    # and the cover, the one O(v^2) object, come first: running out of memory
-    # there leaves stdout empty.
-    n = w.order
-    v = 6 * n + 1
-    rows = develop_rows(base, n)
-    cover = bytearray(v * v)
-    for a, b, c in base:
-        print(f"base ({a},{b},{c})")
-    write = sys.stdout.write
-    write(f"v={v}")
-    line = "\n%d %d %d" * n
-    ok = True
-    for row in rows:
-        write(line % row)
-        ok = ok and mark_blocks(cover, v, zip(*[iter(row)] * 3))
-    ok = ok and cover.count(1) == v * (v - 1) // 2
-    print("\nVERIFIED" if ok else "\nFAILED")
+    ok = write_sts(base, w.order, sys.stdout.write)
+    print("VERIFIED" if ok else "FAILED")
     return EXIT_OK if ok else EXIT_INVALID
 
 
@@ -209,15 +181,8 @@ def cmd_render(args) -> int:
     except InvalidSequenceError as exc:
         print(f"skolemgen: invalid sequence: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args.out is None:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"skolemgen: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with _output(args.out) as out:
+        out.write(text)
     return EXIT_OK
 
 
@@ -264,21 +229,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_to_stdout(func, *args) -> int:
-    """Return ``func(*args)``, an exit code, with stdout flushed; a reader of
-    stdout that went away (``| head``) ends the run with EXIT_OK, and running
-    out of memory ends it with EXIT_RESOURCE."""
+    """Return ``func(*args)``, an exit code, with stdout flushed, or the exit
+    code of its failure, with one line on stderr.
+
+    The reader of stdout or of an output file going away (``| head``, a
+    FIFO) ends the run with EXIT_OK.  Any other OSError ends it with
+    EXIT_IO.  Running out of memory, or asking for a list or string too long
+    to index (an OverflowError, as an order past sys.maxsize does), ends it
+    with EXIT_RESOURCE.  What was printed before the failure still reaches
+    stdout if stdout takes it.
+    """
     try:
         code = func(*args)
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-    except MemoryError as exc:
-        print(f"skolemgen: resource exhaustion: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_RESOURCE
+        sys.stdout.flush()  # a full or closed stdout shows here, not at interpreter exit
+        return code
     except BrokenPipeError:
+        code = EXIT_OK
+    except OSError as exc:
+        print(f"skolemgen: {exc}", file=sys.stderr)
+        code = EXIT_IO
+    except (MemoryError, OverflowError) as exc:
+        print(f"skolemgen: resource exhaustion: {str(exc) or 'out of memory'}", file=sys.stderr)
+        code = EXIT_RESOURCE
+    try:
+        sys.stdout.flush()
+    except OSError:
         # Point stdout at /dev/null so the interpreter's final flush cannot fail.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_OK
     return code
 
 

@@ -657,11 +657,9 @@ def _leaves(
 
 def enumerate_skolem(order: int, prune: bool = True) -> Iterator[SkolemSequence]:
     """Stream every Skolem sequence of the given order exactly once, in
-    canonical child order.  Pruning never changes the emitted set."""
-    _require_order(order)
-    cut = [0] if prune else None
-    for vals in _leaves(_ROOT, (), order, [0] * (2 * order + 1), cut):
-        yield SkolemSequence(vals)
+    canonical child order: ``parallel_enumerate`` at one worker, which walks
+    in process.  Pruning never changes the emitted set."""
+    return parallel_enumerate(order, prune)
 
 
 def dfs_enumerate(target_order: int, prune: bool = True) -> EnumerationReport:

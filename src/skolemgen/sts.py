@@ -9,10 +9,10 @@ rejects a pair marked twice, and counts the marks.  With v(v-1)/6 blocks and
 no pair repeated, the v(v-1)/2 marked pairs are exactly all the pairs.
 
 The development comes one translate at a time (develop_rows) and the
-marking takes any batch of blocks (mark_blocks), so a caller can build,
-check and print a system holding only the v*v cover and one translate's
-points: ``skolemgen sts`` does so.  develop_sts and verify_sts are the same
-steps over a whole TripleSystem held in memory.
+marking takes any batch of blocks (mark_blocks), so write_sts builds, checks
+and prints a system holding only the v*v cover and one translate's points:
+``skolemgen sts`` runs it.  develop_sts, verify_sts and format_triple_system
+are the same steps over a whole TripleSystem held in memory.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import gc
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby, repeat
 from operator import countOf
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import SkolemSequence
 
@@ -171,6 +171,31 @@ def verify_sts(system: TripleSystem) -> bool:
         return False
     cover = bytearray(v * v)
     return mark_blocks(cover, v, system.blocks) and cover.count(1) == v * (v - 1) // 2
+
+
+def write_sts(base: Sequence[Triple], n: int, write: Callable[[str], object]) -> bool:
+    """Pass the text of the system that the n base triples develop into to
+    ``write``, and return verify_sts's verdict on it.
+
+    The text is a line "base (a,b,c)" per base block, then
+    format_triple_system's text of develop_sts(base, n), then a newline.
+    It is written and checked one translate at a time, so only the v*v
+    cover and one row are held.  The rows and the cover come before the
+    first write: running out of memory there writes nothing.
+    """
+    v = 6 * n + 1
+    rows = develop_rows(base, n)
+    cover = bytearray(v * v)
+    for a, b, c in base:
+        write(f"base ({a},{b},{c})\n")
+    write(f"v={v}")
+    line = "\n%d %d %d" * n
+    ok = True
+    for row in rows:
+        write(line % row)
+        ok = ok and mark_blocks(cover, v, zip(*[iter(row)] * 3))
+    write("\n")
+    return ok and cover.count(1) == v * (v - 1) // 2
 
 
 def format_triple_system(system: TripleSystem) -> str:

@@ -361,6 +361,14 @@ def test_sts_index_out_of_range():
     assert run(["sts", "--order", "4", "--index", "99"]) == 5
 
 
+@pytest.mark.parametrize("index", [2**63 - 1, 10**20])
+def test_sts_index_past_sys_maxsize_is_out_of_range(capsys, index):
+    assert run(["sts", "--order", "4", "--index", str(index)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"skolemgen: no sequence of order 4 at index {index}\n"
+
+
 def test_sts_argument_validation():
     assert run(["sts"]) == 2
     assert run(["sts", "--sequence", "1,1", "--order", "4"]) == 2
@@ -558,22 +566,104 @@ def test_count_open_into_closed_pipe_is_a_normal_exit(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count-open", "--max-n", "5"],
+        ["enumerate", "--order", "5"],
+        ["verify"],
+        ["sts", "--sequence", "1,1"],
+        ["render", "--sequence", "1,1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_full_stdout_exits_4_without_a_traceback(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skolemgen.cli", *argv],
+            input=b"1,1\n", stdout=full, stderr=subprocess.PIPE, env=_cli_env(), timeout=120,
+        )
+    assert proc.returncode == 4
+    assert proc.stderr == b"skolemgen: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_enumerate_out_on_a_full_device_exits_4(capsys):
+    assert run(["enumerate", "--order", "4", "--out", "/dev/full"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "skolemgen: [Errno 28] No space left on device\n"
+
+
+def test_open_failures_name_the_path(tmp_path, capsys):
+    missing = tmp_path / "no" / "such"
+    for argv in (["enumerate", "--order", "1", "--out"], ["render", "--sequence", "1,1", "--out"], ["verify", "--in"]):
+        assert run([*argv, str(missing)]) == 4
+        assert capsys.readouterr().err == f"skolemgen: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+class _FailingInput:
+    """Two good lines of input, then a read that fails."""
+
+    def __iter__(self):
+        yield "1,1\n"
+        yield "3,4,2,3,2,4,1,1\n"
+        raise OSError(5, "Input/output error")
+
+
+def test_verify_read_failure_keeps_the_lines_before_it(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", _FailingInput())
+    assert run(["verify"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "OK order=1\nOK order=4\n"
+    assert captured.err == "skolemgen: [Errno 5] Input/output error\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_enumerate_out_fifo_whose_reader_closes_is_a_normal_exit(tmp_path):
+    # as test_closed_pipe_is_a_normal_exit, with the pipe named by --out
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    proc = _cli_process(["enumerate", "--order", "9", "--out", str(fifo)], subprocess.DEVNULL)
+    with open(fifo) as reader:
+        first = reader.readline()
+    out, err = proc.communicate(timeout=120)
+    assert first.strip()
+    assert (proc.returncode, out, err) == (0, b"", b"")
+
+
+@pytest.mark.parametrize("order", [2**62, 10**20])
+@pytest.mark.parametrize(
+    "command", [["count-open", "--max-n"], ["enumerate", "--order"], ["sts", "--order"]], ids=lambda c: c[0]
+)
+def test_an_order_too_large_to_walk_is_resource_exhaustion(capsys, command, order):
+    # one worker, in process: no worker process starts
+    assert run([*command, str(order)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("skolemgen: resource exhaustion: ")
+    assert captured.err.count("\n") == 1
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize(
     "target, argv",
     [
-        ("engine.parallel_leaves", ["enumerate", "--order", "9", "--workers", "1"]),
+        ("cli.engine.parallel_leaves", ["enumerate", "--order", "9", "--workers", "1"]),
         # forked workers inherit the patch; the pool re-raises their MemoryError
-        ("engine._enumerate_subtree", ["enumerate", "--order", "9", "--workers", "2"]),
-        ("develop_rows", ["sts", "--sequence", "1,1"]),
-        ("engine.parallel_leaves", ["sts", "--order", "4"]),
-        ("skolem_violation", ["verify"]),
-        ("render_arc_diagram", ["render", "--sequence", "1,1"]),
+        ("cli.engine._enumerate_subtree", ["enumerate", "--order", "9", "--workers", "2"]),
+        # write_sts develops before its first write
+        ("sts.develop_rows", ["sts", "--sequence", "1,1"]),
+        ("cli.engine.parallel_leaves", ["sts", "--order", "4"]),
+        ("cli.skolem_violation", ["verify"]),
+        ("cli.render_arc_diagram", ["render", "--sequence", "1,1"]),
     ],
     ids=["enumerate-1", "enumerate-2", "sts-sequence", "sts-order", "verify", "render"],
 )
 def test_resource_exhaustion_exits_3_for_every_command(monkeypatch, capsys, target, argv):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(f"skolemgen.cli.{target}", _out_of_memory)
+    monkeypatch.setattr(f"skolemgen.{target}", _out_of_memory)
     _feed(monkeypatch, "1,1\n")
     assert run(argv) == 3
     captured = capsys.readouterr()

@@ -72,3 +72,14 @@ def test_script_into_closed_pipe_is_a_normal_exit(tmp_path, name):
         os.close(write_end)
     assert proc.returncode == 0
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_on_a_full_stdout_exits_4_without_a_traceback(tmp_path, name):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            _argv(name, tmp_path), stdout=full, stderr=subprocess.PIPE, env=_env(), timeout=120
+        )
+    assert proc.returncode == 4
+    assert proc.stderr == b"skolemgen: [Errno 28] No space left on device\n"

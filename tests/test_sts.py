@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skolemgen import sts
 from skolemgen.core import SkolemSequence
 from skolemgen.engine import enumerate_skolem
 from skolemgen.sts import (
@@ -19,6 +20,7 @@ from skolemgen.sts import (
     format_triple_system,
     parse_triple_system,
     verify_sts,
+    write_sts,
 )
 
 W4 = SkolemSequence((3, 4, 2, 3, 2, 4, 1, 1))
@@ -315,3 +317,15 @@ def test_triple_system_normalises_blocks_to_tuples_of_ints():
     assert ts.blocks == ((0, 1, 3), (1, 2, 4), (5, 6, 1))
     assert all(type(b) is tuple and all(type(p) is int for p in b) for b in ts.blocks)
     assert type(TripleSystem(7, [(True, 2, 4)]).blocks[0][0]) is int
+
+
+def test_write_sts_allocates_the_cover_before_its_first_write(monkeypatch):
+    # its text and verdict are checked through `skolemgen sts` in test_cli.py
+    def out_of_memory(size):
+        raise MemoryError()
+
+    monkeypatch.setattr(sts, "bytearray", out_of_memory, raising=False)
+    chunks = []
+    with pytest.raises(MemoryError):
+        write_sts(base_blocks(W4), 4, chunks.append)
+    assert chunks == []
