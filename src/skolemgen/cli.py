@@ -16,7 +16,9 @@ a failure into an exit code: a closed pipe, on stdout or on an --out path,
 ends the run with 0; any other I/O failure (an OSError) ends it with 4 and
 one line naming the error and, when it has one, the path; running out of
 memory ends it with 3.  The commands report only usage and invalid-input
-failures, and open their files with ``with``.
+failures, and open their files with ``with``.  Every line for stderr goes
+through ``engine.note``, which passes over a stderr that cannot be written,
+so stderr never changes the exit code.
 ``sts`` takes exactly one of --sequence and --order, and --index only with
 --order.  ``sts.write_sts`` prints and checks its system one translate at a
 time, so no list of the v*n blocks is built.
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 
 from . import engine
 from .core import InvalidSequenceError, SkolemSequence, parse_entries, skolem_violation
+from .engine import note
 from .render import render_arc_diagram
 from .sts import base_blocks, write_sts
 
@@ -109,7 +112,7 @@ def cmd_enumerate(args) -> int:
             write(line % vals)
             count += 1
         out.flush()
-    print(f"skolemgen: {count} sequence(s) of order {args.order}", file=sys.stderr)
+    note(f"skolemgen: {count} sequence(s) of order {args.order}")
     return EXIT_OK
 
 
@@ -143,32 +146,29 @@ def cmd_verify(args) -> int:
 def cmd_sts(args) -> int:
     if args.sequence is not None:
         if args.index is not None:
-            print("skolemgen: argument --index: not allowed with argument --sequence", file=sys.stderr)
+            note("skolemgen: argument --index: not allowed with argument --sequence")
             return EXIT_USAGE
         try:
             w = SkolemSequence(_closed_values(args.sequence))
         except InvalidSequenceError as exc:
-            print(f"skolemgen: invalid sequence: {exc}", file=sys.stderr)
+            note(f"skolemgen: invalid sequence: {exc}")
             return EXIT_INVALID
     else:
         index = args.index or 0
         if index < 0:
-            print(f"skolemgen: --index must be >= 0, got {index}", file=sys.stderr)
+            note(f"skolemgen: --index must be >= 0, got {index}")
             return EXIT_USAGE
         # counted here, as islice refuses an index past sys.maxsize
         leaves = enumerate(engine.parallel_leaves(args.order))
         vals = next((leaf for i, leaf in leaves if i == index), None)
         if vals is None:
-            print(
-                f"skolemgen: no sequence of order {args.order} at index {index}",
-                file=sys.stderr,
-            )
+            note(f"skolemgen: no sequence of order {args.order} at index {index}")
             return EXIT_INVALID
         w = SkolemSequence(vals)
     try:
         base = base_blocks(w, args.x)
     except ValueError as exc:
-        print(f"skolemgen: {exc}", file=sys.stderr)
+        note(f"skolemgen: {exc}")
         return EXIT_USAGE
     ok = write_sts(base, w.order, sys.stdout.write)
     print("VERIFIED" if ok else "FAILED")
@@ -179,7 +179,7 @@ def cmd_render(args) -> int:
     try:
         text = render_arc_diagram(args.sequence, args.format)
     except InvalidSequenceError as exc:
-        print(f"skolemgen: invalid sequence: {exc}", file=sys.stderr)
+        note(f"skolemgen: invalid sequence: {exc}")
         return EXIT_INVALID
     with _output(args.out) as out:
         out.write(text)
@@ -246,10 +246,10 @@ def run_to_stdout(func, *args) -> int:
     except BrokenPipeError:
         code = EXIT_OK
     except OSError as exc:
-        print(f"skolemgen: {exc}", file=sys.stderr)
+        note(f"skolemgen: {exc}")
         code = EXIT_IO
     except (MemoryError, OverflowError) as exc:
-        print(f"skolemgen: resource exhaustion: {str(exc) or 'out of memory'}", file=sys.stderr)
+        note(f"skolemgen: resource exhaustion: {str(exc) or 'out of memory'}")
         code = EXIT_RESOURCE
     try:
         sys.stdout.flush()

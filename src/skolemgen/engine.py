@@ -199,6 +199,16 @@ _Seed = tuple[int, int, int]  # a node (n, O, U) that a walk starts from
 _ROOT: _Seed = (0, 0, 0)  # the empty sequence
 
 
+def note(text: str) -> None:
+    """Print ``text`` as one line on stderr, the one way the package writes
+    there.  A stderr that cannot be written is passed over, so a notice
+    never changes what a run does or the exit code it ends with."""
+    try:
+        print(text, file=sys.stderr)
+    except OSError:
+        pass
+
+
 @dataclass
 class EnumerationReport:
     """Outcome of one tree traversal towards a target order.
@@ -443,10 +453,7 @@ def _walk(
                 push((n, key, 0, ~j, 0, 0, 0))
         t += 1
         if t == beat:
-            print(
-                f"skolemgen: visited {t} nodes (currently at level {n} of {depth})",
-                file=sys.stderr,
-            )
+            note(f"skolemgen: visited {t} nodes (currently at level {n} of {depth})")
             beat += PROGRESS_INTERVAL
         if n == depth:
             if U & goal == goal:
@@ -697,10 +704,7 @@ def _worker_count(workers: int) -> int:
     else:  # not every platform has it
         cpus = os.cpu_count() or 1
     if workers > cpus:
-        print(
-            f"skolemgen: {workers} workers requested but {cpus} CPU(s) available; using {cpus}",
-            file=sys.stderr,
-        )
+        note(f"skolemgen: {workers} workers requested but {cpus} CPU(s) available; using {cpus}")
         return cpus
     return workers
 

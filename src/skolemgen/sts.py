@@ -12,15 +12,15 @@ The development comes one translate at a time (develop_rows) and the
 marking takes any batch of blocks (mark_blocks), so write_sts builds, checks
 and prints a system holding only the v*v cover and one translate's points:
 ``skolemgen sts`` runs it.  develop_sts, verify_sts and format_triple_system
-are the same steps over a whole TripleSystem held in memory.
+are the same steps in their plain forms, over a whole TripleSystem held in
+memory: they are the library's whole-system API and the tests' reference
+for write_sts.
 """
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, repeat
-from operator import countOf
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import SkolemSequence
@@ -40,19 +40,7 @@ class TripleSystem:
     blocks: tuple[Triple, ...]
 
     def __post_init__(self):
-        # Each block becomes tuple(map(int, b)).  Blocks that already are
-        # tuples of exact ints (develop_sts builds them so) are kept as they
-        # are: for the 240,200 blocks of order 200 the two C-level type passes
-        # take about 35 ms, where converting takes about 115 ms with the
-        # collector paused, as develop_sts pauses it, and 195 ms with it
-        # running (2-vCPU Xeon, Python 3.11).
-        blocks = tuple(self.blocks)
-        if not (
-            set(map(type, blocks)) <= {tuple}
-            and set(map(type, chain.from_iterable(blocks))) <= {int}
-        ):
-            blocks = tuple(map(tuple, map(map, repeat(int), blocks)))
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(tuple(map(int, b)) for b in self.blocks))
 
 
 def base_blocks(w: SkolemSequence | Sequence[int], x: int = 0) -> list[Triple]:
@@ -108,26 +96,13 @@ def develop_sts(base: Iterable[Triple], n: int) -> TripleSystem:
     Emits v*n blocks, translate-major, duplicates kept: a bad base fails in
     verify_sts instead of being silently papered over.  A base block with no
     points leaves the whole system empty.
-
-    The cyclic garbage collector is paused while the blocks are built, and
-    the caller's setting is restored on the way out, also on an error.  The
-    v*n new tuples hold only ints and form no cycles, but every 700 of them
-    start a collection, and the older generations' collections scan every
-    block built so far: for order 200 (240,200 blocks) that was 315 young,
-    29 middle and 1 full collection, about 65 ms of a 2-vCPU Xeon.
     """
     base = [tuple(b) for b in base]
     rows = develop_rows(base, n)
     ends = list(accumulate(map(len, base)))
     spans = list(map(slice, [0, *ends], ends))  # each block's place in a row
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        blocks = chain.from_iterable(map(row.__getitem__, spans) for row in rows)
-        return TripleSystem(v=6 * n + 1, blocks=tuple(blocks))
-    finally:
-        if enabled:
-            gc.enable()
+    blocks = chain.from_iterable(map(row.__getitem__, spans) for row in rows)
+    return TripleSystem(v=6 * n + 1, blocks=blocks)
 
 
 def mark_blocks(cover: bytearray, v: int, blocks: Iterable[Sequence[int]]) -> bool:
@@ -200,34 +175,5 @@ def write_sts(base: Sequence[Triple], n: int, write: Callable[[str], object]) ->
 
 def format_triple_system(system: TripleSystem) -> str:
     """Text form: header "v=<v>", then one block per line as its points,
-    space-separated; a block of three points reads "a b c".
-
-    The block lines come from one C-level ``%`` call over all the points in
-    order.  Its format string holds one piece per run of blocks of equal
-    length, "\\n%d %d %d" repeated for a run of triples and likewise for any
-    other length, so no string and no list entry is made per block.
-    """
-    runs = groupby(map(len, system.blocks))
-    lines = "".join([("\n" + " ".join(["%d"] * k)) * countOf(run, k) for k, run in runs])
-    return f"v={system.v}" + lines % tuple(chain.from_iterable(system.blocks))
-
-
-def parse_triple_system(text: str) -> TripleSystem:
-    """Inverse of format_triple_system.  The header value and every point
-    are written in ASCII digits: no sign, underscore or other digits."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("v="):
-        raise ValueError("triple system text must start with a v=<v> header")
-    head = lines[0][2:].strip()
-    if not (head.isascii() and head.isdigit()):
-        raise ValueError(f"bad point count in header: {lines[0]!r}")
-    blocks = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"block line must have 3 integers: {ln!r}")
-        digits = "".join(parts)
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"block points must be ASCII digits: {ln!r}")
-        blocks.append(tuple(map(int, parts)))
-    return TripleSystem(v=int(head), blocks=tuple(blocks))
+    space-separated; a block of three points reads "a b c"."""
+    return "\n".join([f"v={system.v}", *(" ".join(map(str, b)) for b in system.blocks)])

@@ -60,9 +60,10 @@ def _out_of_memory(*args, **kwargs):
 
 
 def test_count_open_resource_failure(monkeypatch, capsys):
-    # the walk's first heartbeat runs out of memory, before any count exists
+    # the walk's first heartbeat runs out of memory, before any count exists;
+    # cli holds its own name for note, so its error line still prints
     monkeypatch.setattr(cli.engine, "PROGRESS_INTERVAL", 100)
-    monkeypatch.setattr(cli.engine, "print", _out_of_memory, raising=False)
+    monkeypatch.setattr(cli.engine, "note", _out_of_memory)
     assert run(["count-open", "--max-n", "10"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -586,6 +587,28 @@ def test_a_full_stdout_exits_4_without_a_traceback(argv):
         )
     assert proc.returncode == 4
     assert proc.stderr == b"skolemgen: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["enumerate", "--order", "4", "--out", "{missing}"], 4),
+        (["enumerate", "--order", "5"], 0),
+        (["count-open", "--max-n", "4", "--workers", "9"], 0),
+        (["sts", "--order", "11"], 5),
+        (["verify", "--in", "{missing}"], 4),
+    ],
+    ids=["enumerate-out-missing", "enumerate", "count-open-capped", "sts-empty-order", "verify-in-missing"],
+)
+def test_a_full_stderr_keeps_the_exit_code(tmp_path, argv, code):
+    missing = str(tmp_path / "no" / "such")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skolemgen.cli", *(a.format(missing=missing) for a in argv)],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=full, env=_cli_env(), timeout=120,
+        )
+    assert proc.returncode == code
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -19,6 +19,7 @@ def _argv(name, tmp_path):
         "open_level_growth.py": ["--max-n", "6"],
         "search_space_report.py": ["--order", "4"],
         "render_gallery.py": ["--order", "4", "--out-dir", str(tmp_path / "gallery")],
+        "code_lines.py": [],
     }[name]
     return [sys.executable, str(ROOT / "scripts" / name), *args]
 
@@ -29,7 +30,7 @@ def _env(**extra):
     return env
 
 
-SCRIPTS = ["open_level_growth.py", "search_space_report.py", "render_gallery.py"]
+SCRIPTS = ["open_level_growth.py", "search_space_report.py", "render_gallery.py", "code_lines.py"]
 
 
 @pytest.mark.parametrize("name", SCRIPTS)
@@ -83,3 +84,42 @@ def test_script_on_a_full_stdout_exits_4_without_a_traceback(tmp_path, name):
         )
     assert proc.returncode == 4
     assert proc.stderr == b"skolemgen: [Errno 28] No space left on device\n"
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring,
+two lines."""
+
+import os  # a comment after code counts
+
+
+# a comment line does not
+def f(x):
+    """One-line docstring."""
+    return (x +
+            1)
+
+
+class C:
+    """Class
+    docstring."""
+
+    text = """a string
+    that is not a docstring"""
+
+    async def g(self):
+        """Async docstring."""
+        pass
+'''
+
+
+def test_code_lines_counts_a_fixture_exactly(tmp_path):
+    # import, def, the two lines of the return, class, the two lines of the
+    # string that is no docstring, async def and pass
+    path = tmp_path / "fixture.py"
+    path.write_text(CODE_LINES_FIXTURE)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(path)],
+        capture_output=True, text=True, env=_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"     9 {path}\n     9 total\n"

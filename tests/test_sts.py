@@ -1,12 +1,11 @@
 """Steiner triple systems built from Skolem sequences."""
 
-import gc
 import random
 from collections import Counter
 from itertools import chain, combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skolemgen import sts
@@ -18,7 +17,6 @@ from skolemgen.sts import (
     develop_rows,
     develop_sts,
     format_triple_system,
-    parse_triple_system,
     verify_sts,
     write_sts,
 )
@@ -104,33 +102,11 @@ def test_text_round_trip():
     ts = develop_sts(base_blocks(W4, 0), 4)
     text = format_triple_system(ts)
     assert text.splitlines()[0] == "v=25"
-    assert parse_triple_system(text) == ts
-
-
-def test_parse_rejects_malformed_text():
-    with pytest.raises(ValueError):
-        parse_triple_system("0 1 3")
-    with pytest.raises(ValueError):
-        parse_triple_system("v=7\n0 1")
-
-
-@pytest.mark.parametrize("text", [
-    "v=+7\n0 1 3",
-    "v=\u0663\n0 1 3",
-    "v=7\n\u0663 1 2",
-    "v=7\n0 1 +2",
-    "v=7\n1_0 1 2",
-    "v=7\n0 -1 2",
-    "v=+7\n\u0663 1 +2",
-    "v=7\n1_0 -1 2",
-])
-def test_parse_accepts_ascii_digits_only(text):
-    with pytest.raises(ValueError):
-        parse_triple_system(text)
+    assert text.count("\n") == len(ts.blocks) == 100
 
 
 # ---------------------------------------------------------------------------
-# the fast develop / verify / format against the straightforward forms
+# develop / verify / format against the straightforward forms
 
 def _reference_verify_sts(system):
     """Every pair counted in a Counter, then every pair of 0..v-1 looked up."""
@@ -257,6 +233,14 @@ def test_develop_with_an_empty_base_block_is_empty():
 
 
 @given(st.lists(st.lists(st.integers(-20, 10**12), max_size=4), max_size=6))
+@example([])  # empty system
+@example([[]])  # one empty block
+@example([[], []])  # two empty blocks
+@example([[5]])  # one point
+@example([[5, 0]])  # two points
+@example([[1, 2, 3, 4]])  # four points
+@example([[0, 1, 3], [], [6], [2, 4], [1, 2, 3, 4], []])  # mixed shapes
+@example([[10**30, 7, 8], [-3, 0, 2]])  # wide and negative points
 @settings(max_examples=300, deadline=None)
 def test_format_matches_the_join_form_for_any_block_shape(blocks):
     ts = TripleSystem(7, blocks)
@@ -264,52 +248,12 @@ def test_format_matches_the_join_form_for_any_block_shape(blocks):
     assert format_triple_system(ts) == expected
 
 
-def _per_block_format(system):
-    """format_triple_system as it was: one "%d ... %d" % block call, and one
-    string, per block."""
-    lengths = list(map(len, system.blocks))
-    formats = {k: " ".join(["%d"] * k) for k in set(lengths)}
-    blocks = map(str.__mod__, map(formats.__getitem__, lengths), system.blocks)
-    return "\n".join(chain((f"v={system.v}",), blocks))
-
-
-@pytest.mark.parametrize("blocks", [
-    (),
-    ((),),
-    ((), ()),
-    ((5,),),
-    ((5, 0),),
-    ((1, 2, 3, 4),),
-    ((0, 1, 3), (), (6,), (2, 4), (1, 2, 3, 4), ()),
-    ((10**30, 7, 8), (-3, 0, 2)),
-], ids=["empty system", "one empty block", "two empty blocks", "one point", "two points",
-        "four points", "mixed shapes", "wide and negative points"])
-def test_format_matches_the_per_block_reference(blocks):
-    ts = TripleSystem(13, blocks)
-    assert format_triple_system(ts) == _per_block_format(ts)
-
-
 def test_text_round_trip_at_order_12():
     w = next(iter(enumerate_skolem(12)))
     ts = develop_sts(base_blocks(w, 5), 12)
     text = format_triple_system(ts)
+    assert text.splitlines()[0] == "v=73"
     assert text.count("\n") == len(ts.blocks) == 73 * 12
-    assert parse_triple_system(text) == ts
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
-def test_develop_restores_the_callers_gc_setting(enabled):
-    was = gc.isenabled()
-    try:
-        gc.enable() if enabled else gc.disable()
-        assert len(develop_sts(base_blocks(W4, 3), 4).blocks) == 100
-        assert gc.isenabled() is enabled
-        # a point that takes no "% v" fails inside the build
-        with pytest.raises(TypeError):
-            develop_sts([(0, 1, 3), (0, "x", 5)], 2)
-        assert gc.isenabled() is enabled
-    finally:
-        gc.enable() if was else gc.disable()
 
 
 def test_triple_system_normalises_blocks_to_tuples_of_ints():
