@@ -17,9 +17,9 @@ only when enumerating: the walk writes both ends of each arc it closes into
 one buffer.  The same walk lists a level, enumerates with or without
 pruning, and runs the subtrees of worker processes; a count is a listing
 plus a closed-form tail (below), in one pass, so every count arrives when
-it ends.  ``_iter_counts_levels`` and
-``iter_level_states`` recount the tree by other means; only the tests call
-them, as cross-checks.
+it ends.  ``iter_level_states`` lists the tree's full states level by
+level; the tests recount the tree with it, and ``benchmarks/layers.py``
+times ``prune_feasible`` on its states.
 
 A leaf of the walk is a Skolem sequence by construction, so it needs no
 check.  The walk yields a node of full length n = 2N only when U holds the
@@ -128,9 +128,13 @@ becomes lo - j + f(m+1), with f(k) the k-th smallest unused length.  So the
 closers that fail (b) or (c) are those in ``low`` below one threshold.  The
 opener child has m-1 arcs to open, T - 2(n+1), and lo - f(m).  The walk
 carries T, ``low`` and lo on its stack: an opener drops low's top bit, and
-a closer *j with j in ``low`` swaps bit j for bit f(m+1).  So a pushed child
-needs no test on entry; a seed runs all of ``_feasible`` and computes T,
-``low`` and lo from scratch.  At length 2N - 1 one arc is open and one
+a closer *j with j in ``low`` swaps bit j for bit f(m+1).  So no node needs
+a test on entry.  A walk starts from the root, whose T, ``low`` and lo
+``_position_sums`` gives, or from a node that a pruned walk listed with
+them, as ``_split`` lists the seeds of worker processes: a seed is a node
+as the walk holds it.  ``_feasible`` runs every test on one node from
+scratch; only ``prune_feasible`` calls it, and the tests check the walk
+against it.  At length 2N - 1 one arc is open and one
 length is unused; the rank pass keeps the arc's closer only if its length
 is the unused one, and cuts the opener, which would leave an arc open at
 full length.
@@ -195,8 +199,10 @@ PROGRESS_INTERVAL = 10_000_000  # visited-node liveness signal, stderr
 MERGE_DEPTH = 8
 MERGE_CAP = 1 << 17
 
-_Seed = tuple[int, int, int]  # a node (n, O, U) that a walk starts from
-_ROOT: _Seed = (0, 0, 0)  # the empty sequence
+# A node as the walk holds it, (n, O, U, j, T, low, lo): j > 0 when the node
+# closed *j; the pruned walk carries the node's position sums, other walks
+# zeros.
+_Node = tuple[int, int, int, int, int, int, int]
 
 
 def note(text: str) -> None:
@@ -278,8 +284,9 @@ def _feasible(n: int, O: int, U: int, order: int) -> bool:
         parity; for N = 2, 3 (mod 4) T is odd, so they cut every node with
         no arc left to open, which needs T = 0.
 
-    The pruned walk decides every test of a node at its parent, so it calls
-    this only on a seed.
+    ``prune_feasible`` runs this.  The pruned walk never does: it decides
+    every test of a node at the node's parent, so this is the reference that
+    the tests check the walk against.
     """
     rem = 2 * order - n - O.bit_count()
     if rem < 0 or rem & 1 or (O | U) >> (order + 1):
@@ -321,6 +328,13 @@ def _position_sums(n: int, O: int, U: int, order: int) -> tuple[int, int, int]:
     return T, low, lo
 
 
+def _root(order: int) -> _Node:
+    """The empty sequence as the walk holds it, with its position sums
+    towards ``order``; ``_root(0)`` is all zeros, as an unpruned walk
+    carries."""
+    return (0, 0, 0, 0, *_position_sums(0, 0, 0, order))
+
+
 def _sum_bounds(n: int, p: int, L: int) -> tuple[int, int, int]:
     """The constants of checks (a)-(c) at a node of length n with p open
     arcs, towards length L: (tmin, bl, cl) such that the node passes iff
@@ -342,55 +356,56 @@ def _two_below(O: int, U: int) -> tuple[int, int]:
 
 def _walk(
     ent: list[int],
-    seed: _Seed,
+    seed: _Node,
     visits: list[int],
-    goal: int,
+    order: int = 0,
     cut: list[int] | None = None,
     merged: list[int] | None = None,
-) -> Iterator[tuple[int, int]]:
-    """Depth-first walk from ``seed`` = (n, O, U) to length ``len(ent)``.
+) -> Iterator[_Node]:
+    """Depth-first walk from the node ``seed`` to length ``len(ent)``.
 
     Children are popped in canonical order: the opener, then the closers by
     increasing j.  ``visits[m]`` counts the nodes at length m that the walk
-    settled.  With ``cut`` given, pruning is against order ``len(ent) // 2``:
-    a seed short of full length runs all of ``_feasible``, and a node the
-    walk pushes runs no test, because its parent decided them all: the
-    room, range and greedy tests by one rank pass, and the position-sum
+    settled.  With ``cut`` given, pruning is against ``order``, and no node
+    runs a test on entry, the seed included: its parent decided them all,
+    the room, range and greedy tests by one rank pass, and the position-sum
     checks (a)-(c) from the T, ``low`` and lo it carries on the stack and
-    pushes with each child (see the module docstring).  The checks never
-    read T's parity.  A child its parent rejects, or a seed that fails, is
-    added to ``visits`` and ``cut[0]`` without being entered; at full
-    length that is every node with an open arc.  The pruned walk also
-    merges equal nodes within ``MERGE_DEPTH`` positions of full length: a
-    node equal to one it expanded before is added to ``visits`` and
-    ``merged[0]`` (a count of its own when ``merged`` is None) and is not
-    entered, and the walk pushes the live children recorded for it without
-    a test (see the module docstring).  So each
-    node that a walk towards full length counts in ``visits`` was entered,
-    cut or merged, exactly one of them, and ``sum(visits)`` less the cuts
-    and merges is exactly the number of nodes entered.  A walk stopped at a
-    leaf has settled the nodes it entered or merged up to the leaf and every
-    child their parents cut, those after the leaf in canonical order too,
-    but not the pushed children it never reached.
+    pushes with each child (see the module docstring).  So a pruned walk
+    starts from ``_root(order)`` or from a node that a pruned walk towards
+    the same order yielded.  The checks never read T's parity.  A child its
+    parent rejects is added to ``visits`` and ``cut[0]`` without being
+    entered; at full length that is every node with an open arc.  A pruned
+    walk that stops at full length, 2 * ``order``, also merges equal nodes
+    within ``MERGE_DEPTH`` positions of it: a node equal to one it expanded
+    before is added to ``visits`` and ``merged[0]`` (a count of its own when
+    ``merged`` is None) and is not entered, and the walk pushes the live
+    children recorded for it without a test (see the module docstring).  So
+    each node that a walk towards full length counts in ``visits`` was
+    entered, cut or merged, exactly one of them, and ``sum(visits)`` less
+    the cuts and merges is exactly the number of nodes entered.  A walk
+    stopped at a leaf has settled the nodes it entered or merged up to the
+    leaf and every child their parents cut, those after the leaf in
+    canonical order too, but not the pushed children it never reached.
 
-    At full length the walk yields (O, U) for every node whose used mask
-    contains ``goal``: 0 takes every node, which is how ``_split`` and
-    ``_count_below`` list a level.  The progress heartbeat counts the nodes
-    the walk enters and names the level of the walk's own full length.
+    At ``len(ent)`` the walk yields the node it popped: at full length only
+    a node whose used mask holds every length 1..``order``, a Skolem leaf,
+    and short of it every node, which is how ``_split`` and ``_count_below``
+    list a level.  The progress heartbeat counts the nodes the walk enters
+    and names the level of the walk's own full length.
 
     ``ent[:n]`` holds the seed's entries.  Closing ``*j`` writes both ends of
     its arc, so at each yield ``ent`` holds the node's closed entries; those
     at open positions are stale, and a Skolem leaf has none.
     """
     depth = len(ent)
-    order = depth // 2
+    L = 2 * order
     full = _lengths(order)
+    goal = full if depth == L else 0
     beat = PROGRESS_INTERVAL
     t = 0
-    # (n, O, U, j, T, low, lo): j > 0 when the node closed *j; the pruned
-    # walk carries the node's position sums, other walks zeros.  An exit
-    # record (n, key, 0, ~j, 0, 0, 0) sits below an expanded node's children.
-    stack = [(*seed, 0, 0, 0, 0)]
+    # An exit record (n, key, 0, ~j, 0, 0, 0) sits below an expanded node's
+    # children.
+    stack = [seed]
     pop, push = stack.pop, stack.append
     # live[n]: the live-children mask of the expanded node of length n on the
     # current path; bit 0 is the opener, bit j "close *j"
@@ -400,20 +415,14 @@ def _walk(
     memo_cap = MERGE_CAP
     width = order + 1
     merge_from = depth + 1  # no merging
-    if cut is not None and seed[0] < depth:
-        # A seed may come from an unpruned walk (a ``_split`` node), so it
-        # runs every test; a node the walk pushes runs none.
-        if not _feasible(*seed, order):
-            visits[seed[0]] += 1
-            cut[0] += 1
-            return
-        stack[0] = (*seed, 0, *_position_sums(*seed, order))
+    if cut is not None:
         # checks (a)-(c) of a child of length i with m arcs to open
         bounds = [
-            [_sum_bounds(i, depth - i - 2 * m, depth) for m in range((depth - i) // 2 + 1)]
+            [_sum_bounds(i, L - i - 2 * m, L) for m in range((L - i) // 2 + 1)]
             for i in range(depth + 1)
         ]
-        merge_from = depth - MERGE_DEPTH
+        if goal:
+            merge_from = depth - MERGE_DEPTH
         if merged is None:
             merged = [0]
     while stack:
@@ -458,11 +467,11 @@ def _walk(
         if n == depth:
             if U & goal == goal:
                 live[n - 1] |= 1 << j  # read only if the parent records
-                yield O, U
+                yield n, O, U, j, T, low, lo
             continue
         if cut is not None:
-            # The parent, or for the seed the check above, decided every
-            # test of this node; see the module docstring.
+            # The parent decided every test of this node; see the module
+            # docstring.
             free = ~U & full
             # One rank pass over the open values decides every child's
             # room, range and greedy tests: B collects (up to two of) the
@@ -487,7 +496,7 @@ def _walk(
                 continue
             if B:  # only "close *v" can live
                 closable = B
-            m = (depth - n + 1 - k) >> 1  # k = p, as no value broke the pass
+            m = (L - n + 1 - k) >> 1  # k = p, as no value broke the pass
             if closable:
                 # Every closer keeps m and T, and its lo exceeds lo by
                 # f(m+1) - j when j is in low: the closers that fail
@@ -538,23 +547,26 @@ def _walk(
 
 
 def _split(
-    limit: int, workers: int
-) -> tuple[list[int], list[tuple[_Seed, tuple[int, ...]]]]:
-    """Expand the tree to the first level holding at least 4x ``workers``
-    nodes, or to level ``limit`` if none before it does.
+    limit: int, workers: int, order: int = 0, cut: list[int] | None = None
+) -> tuple[list[int], list[tuple[_Node, tuple[int, ...]]]]:
+    """Walk from ``_root(order)`` to the first level holding at least 4x
+    ``workers`` nodes, or to level ``limit`` if none before it does; with
+    ``cut`` given, the walk is pruned against ``order``, so every node it
+    lists passed its parent's tests and carries its position sums.
 
-    Returns the node counts of levels 1..that level and its nodes as (seed,
-    entries) pairs in canonical order.  The subtrees below them share
-    nothing, so results merged in seed order do not depend on the worker
-    count or on scheduling.
+    Returns the counts of the nodes settled at levels 1..that level and its
+    nodes as (node, entries) pairs in canonical order.  The subtrees below
+    them share nothing, so results merged in seed order do not depend on
+    the worker count or on scheduling.
     """
+    root = _root(order)
     counts: list[int] = []
-    seeds = [(_ROOT, ())]
+    seeds = [(root, ())]
     while len(counts) < limit and len(seeds) < 4 * workers:
         depth = len(counts) + 1
         ent = [0] * depth
         visits = [0] * (depth + 1)
-        seeds = [((depth, O, U), tuple(ent)) for O, U in _walk(ent, _ROOT, visits, goal=0)]
+        seeds = [(node, tuple(ent)) for node in _walk(ent, root, visits, order, cut)]
         counts = visits[1:]
     return counts, seeds
 
@@ -562,8 +574,8 @@ def _split(
 # ---------------------------------------------------------------------------
 # counting
 
-def _count_below(job: tuple[_Seed, int]) -> list[int]:
-    """Node counts of levels n+1..max_order below one seed (n, O, U).
+def _count_below(job: tuple[_Node, int]) -> list[int]:
+    """Node counts of levels n+1..max_order below one node of length n.
 
     A count is a listing plus a closed-form tail: the walk lists the nodes
     of level ``stop`` = max(max_order - 3, n), three levels short of the
@@ -574,7 +586,7 @@ def _count_below(job: tuple[_Seed, int]) -> list[int]:
     seed, max_order = job
     stop = max(max_order - 3, seed[0])
     visits = [0] * (stop + 4)
-    for O, U in _walk([0] * stop, seed, visits, 0):
+    for _, O, U, _, _, _, _ in _walk([0] * stop, seed, visits):
         closable = O & ~U
         visits[stop + 1] += 1 + closable.bit_count()
         s2, s3 = _two_below(O << 1 | 2, U)
@@ -589,37 +601,13 @@ def _count_below(job: tuple[_Seed, int]) -> list[int]:
     return visits[seed[0] + 1 : max_order + 1]
 
 
-def _iter_counts_levels(max_order: int) -> Iterator[int]:
-    """Level counts by a level-synchronised sweep over compressed states.
-
-    Keeps one level of (open values, used lengths) keys with multiplicities.
-    Cheap for small orders, but key counts still explode past level ~14;
-    this mode exists to cross-check the depth-first counts.
-    """
-    level: dict[tuple[tuple[int, ...], frozenset[int]], int] = {
-        ((), frozenset()): 1
-    }
-    for _ in range(max_order):
-        nxt: dict[tuple[tuple[int, ...], frozenset[int]], int] = {}
-        get = nxt.get
-        for (stars, used), mult in level.items():
-            key = ((1,) + tuple(k + 1 for k in stars), used)
-            nxt[key] = get(key, 0) + mult
-            for j in stars:
-                if j not in used:
-                    key = (tuple(k + 1 for k in stars if k != j), used | {j})
-                    nxt[key] = get(key, 0) + mult
-        level = nxt
-        yield sum(level.values())
-
-
 def count_open_levels(max_order: int) -> list[int]:
     """Exact count of open Skolem sequences per order, 1..max_order, from one
     depth-first pass.  No level is complete before the pass ends, so a
     ``MemoryError`` leaves no partial count.
     """
     _require_order(max_order)
-    return _count_below((_ROOT, max_order))
+    return _count_below((_root(0), max_order))
 
 
 def iter_level_states(max_order: int) -> Iterator[list[OpenState]]:
@@ -648,7 +636,7 @@ def prune_feasible(state: OpenState, target_order: int) -> bool:
 # enumeration
 
 def _leaves(
-    seed: _Seed,
+    seed: _Node,
     prefix: tuple[int, ...],
     order: int,
     visits: list[int],
@@ -658,7 +646,7 @@ def _leaves(
     """Values of every Skolem leaf below ``seed``, whose entries are
     ``prefix``, in canonical order; ``cut`` and ``merged`` as for ``_walk``."""
     ent = list(prefix) + [0] * (2 * order - len(prefix))
-    for _ in _walk(ent, seed, visits, _lengths(order), cut, merged):
+    for _ in _walk(ent, seed, visits, order, cut, merged):
         yield tuple(ent)
 
 
@@ -678,7 +666,7 @@ def dfs_enumerate(target_order: int, prune: bool = True) -> EnumerationReport:
     merged = [0]
     count = 0
     t0 = time.perf_counter()
-    for vals in _leaves(_ROOT, (), target_order, visits, cut, merged):
+    for vals in _leaves(_root(target_order), (), target_order, visits, cut, merged):
         SkolemSequence(vals)
         count += 1
     return EnumerationReport(
@@ -738,7 +726,7 @@ def parallel_count(max_order: int, workers: int = 1) -> list[int]:
 
 
 def _enumerate_subtree(
-    job: tuple[_Seed, tuple[int, ...], int, bool],
+    job: tuple[_Node, tuple[int, ...], int, bool],
 ) -> list[tuple[int, ...]]:
     seed, prefix, order, prune = job
     cut = [0] if prune else None
@@ -762,11 +750,14 @@ def parallel_leaves(
     """
     workers = _worker_count(workers)
     _require_order(order)
+    # An order too large to walk fails here, before the root's sums take a
+    # step per length.
+    visits = [0] * (2 * order + 1)
+    cut = [0] if prune else None
     if workers > 1:
-        prefix, seeds = _split(2 * order, workers)
+        prefix, seeds = _split(2 * order, workers, order, cut)
     if workers == 1 or len(prefix) == 2 * order:
-        cut = [0] if prune else None
-        yield from _leaves(_ROOT, (), order, [0] * (2 * order + 1), cut)
+        yield from _leaves(_root(order), (), order, visits, cut)
         return
 
     from concurrent.futures import ProcessPoolExecutor  # as in parallel_count

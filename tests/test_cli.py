@@ -589,26 +589,48 @@ def test_a_full_stdout_exits_4_without_a_traceback(argv):
     assert proc.stderr == b"skolemgen: [Errno 28] No space left on device\n"
 
 
+def _one_cpu():
+    """Pin the calling process to one CPU, so the engine caps any worker
+    count above 1 and starts no worker process."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+_PINNABLE = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, pin",
     [
-        (["enumerate", "--order", "4", "--out", "{missing}"], 4),
-        (["enumerate", "--order", "5"], 0),
-        (["count-open", "--max-n", "4", "--workers", "9"], 0),
-        (["sts", "--order", "11"], 5),
-        (["verify", "--in", "{missing}"], 4),
+        (["enumerate", "--order", "4", "--out", "{missing}"], 4, None),
+        (["enumerate", "--order", "5"], 0, None),
+        pytest.param(["count-open", "--max-n", "4", "--workers", "2"], 0, _one_cpu, marks=_PINNABLE),
+        (["sts", "--order", "11"], 5, None),
+        (["verify", "--in", "{missing}"], 4, None),
     ],
     ids=["enumerate-out-missing", "enumerate", "count-open-capped", "sts-empty-order", "verify-in-missing"],
 )
-def test_a_full_stderr_keeps_the_exit_code(tmp_path, argv, code):
+def test_a_full_stderr_keeps_the_exit_code(tmp_path, argv, code, pin):
     missing = str(tmp_path / "no" / "such")
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "skolemgen.cli", *(a.format(missing=missing) for a in argv)],
-            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=full, env=_cli_env(), timeout=120,
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=full, env=_cli_env(),
+            preexec_fn=pin, timeout=120,
         )
     assert proc.returncode == code
+
+
+@_PINNABLE
+def test_a_capped_worker_count_is_noticed_on_stderr():
+    # the run that count-open-capped above makes, with stderr readable
+    proc = subprocess.run(
+        [sys.executable, "-m", "skolemgen.cli", "count-open", "--max-n", "4", "--workers", "2"],
+        stdin=subprocess.DEVNULL, capture_output=True, env=_cli_env(), preexec_fn=_one_cpu, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == b"n=4 count=8"
+    assert proc.stderr == b"skolemgen: 2 workers requested but 1 CPU(s) available; using 1\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -44,8 +44,30 @@ def test_dfs_counts_to_12():
     assert count_open_levels(12) == OPEN_COUNTS_12
 
 
+def _iter_counts_levels(max_order):
+    """Level counts by a level-synchronised sweep over compressed states.
+
+    Keeps one level of (open values, used lengths) keys with multiplicities.
+    Cheap for small orders, but key counts still explode past level ~14;
+    it exists to cross-check the depth-first counts.
+    """
+    level = {((), frozenset()): 1}
+    for _ in range(max_order):
+        nxt = {}
+        get = nxt.get
+        for (stars, used), mult in level.items():
+            key = ((1,) + tuple(k + 1 for k in stars), used)
+            nxt[key] = get(key, 0) + mult
+            for j in stars:
+                if j not in used:
+                    key = (tuple(k + 1 for k in stars if k != j), used | {j})
+                    nxt[key] = get(key, 0) + mult
+        level = nxt
+        yield sum(level.values())
+
+
 def test_level_sweep_counts_agree_with_dfs():
-    assert list(engine._iter_counts_levels(12)) == OPEN_COUNTS_12
+    assert list(_iter_counts_levels(12)) == OPEN_COUNTS_12
 
 
 def test_full_state_levels_agree_with_compressed_counts():
@@ -99,7 +121,7 @@ def test_closed_form_tail_matches_a_mask_expansion():
             sizes = [len(nodes) for nodes in below[1:]]
             assert engine._two_below(*node) == (sizes[0], sizes[1])
             for d in range(1, 5):
-                assert engine._count_below(((n, *node), n + d)) == sizes[:d]
+                assert engine._count_below(((n, *node, 0, 0, 0, 0), n + d)) == sizes[:d]
         level = [c for x in level for c in _mask_children(*x)]
     assert len(level) == OPEN_COUNTS_12[8]
 
@@ -328,8 +350,8 @@ def _unpruned_nodes_short_of_full_length(order):
     """Every distinct node (n, O, U) the unpruned walk enters below 2*order."""
     nodes = set()
     for n in range(2 * order):
-        walk = engine._walk([0] * n, engine._ROOT, [0] * (n + 1), goal=0)
-        nodes.update((n, O, U) for O, U in walk)
+        walk = engine._walk([0] * n, engine._root(0), [0] * (n + 1))
+        nodes.update(node[:3] for node in walk)
     return nodes
 
 
@@ -341,7 +363,7 @@ def test_every_node_the_prune_rejects_has_no_skolem_leaf_below(order):
         if not engine._feasible(*node, order)
     ]
     for node in rejected:
-        below = engine._walk([0] * depth, node, [0] * (depth + 1), engine._lengths(order))
+        below = engine._walk([0] * depth, (*node, 0, 0, 0, 0), [0] * (depth + 1), order)
         assert next(below, None) is None, node
     assert rejected or order == 1
 
@@ -390,6 +412,29 @@ def test_parallel_enumeration_preserves_canonical_order(workers, eight_cpus):
     assert parallel == sequential
 
 
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_parallel_leaves_match_one_worker_in_order(workers, eight_cpus):
+    # the pruned split lists its seeds with the pruned walk, the unpruned
+    # split with the unpruned one
+    for prune, orders in ((True, range(1, 9)), (False, range(1, 7))):
+        for order in orders:
+            expected = list(parallel_leaves(order, prune))
+            assert list(parallel_leaves(order, prune, workers)) == expected, (order, prune)
+
+
+def _no_reference(*args):
+    raise AssertionError("a node was judged by _feasible")
+
+
+def test_the_walk_never_judges_a_node_by_the_reference(monkeypatch, eight_cpus):
+    # a seed, the root included, is judged at its parent as every other node
+    # is; forked workers inherit the patch
+    monkeypatch.setattr(engine, "_feasible", _no_reference)
+    assert dfs_enumerate(9).skolem_count == 2656
+    for workers in (1, 2, 3):
+        assert len(list(parallel_leaves(8, True, workers))) == 504
+
+
 def test_parallel_enumeration_unpruned():
     assert {s.values for s in parallel_enumerate(4, False, 2)} == {
         s.values for s in oracle_enumerate(4)
@@ -417,7 +462,7 @@ def test_closing_parallel_enumeration_drops_unstarted_subtrees(
     monkeypatch.setattr(sys.modules[__name__], "_JOB_LOG", tmp_path / "jobs")
     monkeypatch.setattr(engine, "_enumerate_subtree", _logged_subtree)
     workers = 3
-    seeds = len(engine._split(16, workers)[1])
+    seeds = len(engine._split(16, workers, 8, [0])[1])
     stream = stream_of(8, True, workers)
     first = next(stream)
     assert getattr(first, "values", first) == next(enumerate_skolem(8)).values
@@ -560,19 +605,35 @@ def test_pruned_walk_figures_match_a_level_sweep(order, merging_off):
     assert _swept_pruned_figures(order) == (r.per_level_counts, r.pruned_nodes, r.skolem_count)
 
 
+def _listed_seeds(order):
+    """Every node of levels 1..6 that the walk pruned against ``order``
+    lists, as ``_split`` lists the seeds of worker processes, as (state,
+    node, entries).  The listing must hold the states a level sweep keeps,
+    in canonical order: the children of kept states that pass
+    ``prune_feasible``."""
+    level = [EMPTY_STATE]
+    for n in range(1, 7):
+        level = [c for s in level for c in children(s) if prune_feasible(c, order)]
+        ent = [0] * n
+        walk = engine._walk(ent, engine._root(order), [0] * (n + 1), order, [0])
+        listed = [(node, tuple(ent)) for node in walk]
+        masks = [(s.order, sum(1 << v for v in s.open_values()), sum(1 << v for v in s.used)) for s in level]
+        assert [node[:3] for node, _ in listed] == masks
+        for s, (node, prefix) in zip(level, listed):
+            yield s, node, prefix
+
+
 @pytest.mark.parametrize("order", [5, 6, 7])
 def test_pruned_walk_from_any_seed_matches_a_level_sweep(order, merging_off):
-    # a seed may come from an unpruned walk, as a ``_split`` node does, so
-    # the walk must cut it by every test, not only by those its parent decides
+    # a seed is a node the pruned walk listed, with the position sums its
+    # parent worked out, and the walk from it runs no test on it
     depth = 2 * order
-    for level in iter_level_states(6):
-        for s in level:
-            n = s.order
-            seed = (n, sum(1 << v for v in s.open_values()), sum(1 << v for v in s.used))
-            visits, cut = [0] * (depth + 1), [0]
-            leaves = list(engine._leaves(seed, s.values(), order, visits, cut))
-            assert visits[:n + 1] == [0] * n + [1]
-            assert (visits[n + 1:], cut[0], leaves) == _pruned_sweep(order, s), str(s)
+    for s, seed, prefix in _listed_seeds(order):
+        n = s.order
+        visits, cut = [0] * (depth + 1), [0]
+        leaves = list(engine._leaves(seed, prefix, order, visits, cut))
+        assert visits[:n + 1] == [0] * n + [1]
+        assert (visits[n + 1:], cut[0], leaves) == _pruned_sweep(order, s), str(s)
 
 
 def _node(s):
@@ -637,16 +698,14 @@ def test_merged_walk_figures_match_a_counter_sweep(order):
 @pytest.mark.parametrize("order", [5, 6, 7])
 def test_merged_walk_from_any_seed_matches_a_counter_sweep(order):
     depth = 2 * order
-    for level in iter_level_states(6):
-        for s in level:
-            n = s.order
-            seed = (n, sum(1 << v for v in s.open_values()), sum(1 << v for v in s.used))
-            visits, cut, merged = [0] * (depth + 1), [0], [0]
-            leaves = list(engine._leaves(seed, s.values(), order, visits, cut, merged))
-            assert visits[:n + 1] == [0] * n + [1]
-            got = (visits[n + 1:], cut[0], merged[0], len(leaves))
-            assert got == _merged_sweep(order, s), str(s)
-            assert leaves == _pruned_sweep(order, s)[2], str(s)
+    for s, seed, prefix in _listed_seeds(order):
+        n = s.order
+        visits, cut, merged = [0] * (depth + 1), [0], [0]
+        leaves = list(engine._leaves(seed, prefix, order, visits, cut, merged))
+        assert visits[:n + 1] == [0] * n + [1]
+        got = (visits[n + 1:], cut[0], merged[0], len(leaves))
+        assert got == _merged_sweep(order, s), str(s)
+        assert leaves == _pruned_sweep(order, s)[2], str(s)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 64])
@@ -734,7 +793,7 @@ def test_pruned_walk_figures_up_to_the_first_order17_leaf(monkeypatch, merging_o
     monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 1_000)
     monkeypatch.setattr(engine, "print", _walk_too_long, raising=False)
     visits, cut = [0] * 35, [0]
-    first = next(engine._leaves(engine._ROOT, (), 17, visits, cut))
+    first = next(engine._leaves(engine._root(17), (), 17, visits, cut))
     assert first == (
         17, 15, 16, 11, 9, 10, 14, 12, 13, 3, 1, 1, 3, 9, 11, 10, 15,
         17, 16, 12, 14, 13, 8, 5, 7, 2, 6, 2, 5, 4, 8, 7, 6, 4,

@@ -98,7 +98,7 @@ def test_verify_rejects_damaged_systems():
     assert not verify_sts(TripleSystem(ts.v, ts.blocks[:-1] + ((0, 1, 99),)))  # out of range
 
 
-def test_text_round_trip():
+def test_format_writes_the_header_and_one_line_per_block():
     ts = develop_sts(base_blocks(W4, 0), 4)
     text = format_triple_system(ts)
     assert text.splitlines()[0] == "v=25"
@@ -248,7 +248,7 @@ def test_format_matches_the_join_form_for_any_block_shape(blocks):
     assert format_triple_system(ts) == expected
 
 
-def test_text_round_trip_at_order_12():
+def test_format_at_order_12_writes_the_header_and_one_line_per_block():
     w = next(iter(enumerate_skolem(12)))
     ts = develop_sts(base_blocks(w, 5), 12)
     text = format_triple_system(ts)
