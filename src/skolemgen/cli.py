@@ -20,8 +20,10 @@ failures, and open their files with ``with``.  Every line for stderr goes
 through ``engine.note``, which passes over a stderr that cannot be written,
 so stderr never changes the exit code.
 ``sts`` takes exactly one of --sequence and --order, and --index only with
---order.  ``sts.write_sts`` prints and checks its system one translate at a
-time, so no list of the v*n blocks is built.
+--order; for an order N = 2, 3 (mod 4), where no Skolem sequence exists, it
+answers at once without a walk.  ``sts.write_sts`` prints its system one
+translate at a time and certifies it from the base blocks' differences, so
+neither a list of the v*n blocks nor a v*v pair cover is built.
 ``count-open`` and ``enumerate`` pass --workers (default 1) straight to
 ``engine.parallel_count`` and ``engine.parallel_leaves``, which check it
 and cap it at the CPUs this process may run on; at one worker these run in
@@ -158,8 +160,10 @@ def cmd_sts(args) -> int:
         if index < 0:
             note(f"skolemgen: --index must be >= 0, got {index}")
             return EXIT_USAGE
-        # counted here, as islice refuses an index past sys.maxsize
-        leaves = enumerate(engine.parallel_leaves(args.order))
+        # Skolem (1957): a sequence of order N exists iff N = 0, 1 (mod 4), so
+        # no walk is needed to find none.  Counted here, as islice refuses an
+        # index past sys.maxsize.
+        leaves = enumerate(engine.parallel_leaves(args.order)) if args.order % 4 < 2 else ()
         vals = next((leaf for i, leaf in leaves if i == index), None)
         if vals is None:
             note(f"skolemgen: no sequence of order {args.order} at index {index}")

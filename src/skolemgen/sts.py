@@ -3,18 +3,27 @@
 A Skolem sequence of order n pins down, for each length k, two positions
 i < j with j - i = k.  Each such pair gives a base block (x, x+k, x+j+n);
 developing the n base blocks additively mod v = 6n+1 covers every point
-pair exactly once.  The verifier checks that claim rather than trusting the
-construction: it marks each block's three pairs in one v*v bytearray,
-rejects a pair marked twice, and counts the marks.  With v(v-1)/6 blocks and
-no pair repeated, the v(v-1)/2 marked pairs are exactly all the pairs.
+pair exactly once.
 
-The development comes one translate at a time (develop_rows) and the
-marking takes any batch of blocks (mark_blocks), so write_sts builds, checks
-and prints a system holding only the v*v cover and one translate's points:
-``skolemgen sts`` runs it.  develop_sts, verify_sts and format_triple_system
-are the same steps in their plain forms, over a whole TripleSystem held in
-memory: they are the library's whole-system API and the tests' reference
-for write_sts.
+Two checks certify that claim rather than trusting the construction.
+verify_sts takes a whole system: it marks each block's three pairs in one
+v*v bytearray, rejects a pair marked twice, and counts the marks.  With
+v(v-1)/6 blocks and no pair repeated, the v(v-1)/2 marked pairs are exactly
+all the pairs.  write_sts judges the base alone.  The pair {p, p+d} lies in
+one translate of a base block for each time d is the difference of two of
+that block's points, so the development covers every pair exactly once
+when the 6n differences +-(q-p) of the n base blocks are non-zero and
+distinct mod v, and only then: the base is then a cyclic (v,3,1)
+difference family (Colbourn and Rosa, *Triple Systems*, 1999).  For a
+Skolem base they are +-k, +-(i+n) and +-(j+n), which is +-1..+-3n.  That
+check takes one v-byte array and 6n steps.
+
+The development comes one translate at a time (develop_rows), so write_sts
+builds, checks and prints a system holding only that array and one
+translate's points: ``skolemgen sts`` runs it.  develop_sts, verify_sts and
+format_triple_system are the same steps in their plain forms, over a whole
+TripleSystem held in memory: they are the library's whole-system API and
+the tests' reference for write_sts.
 """
 
 from __future__ import annotations
@@ -105,16 +114,23 @@ def develop_sts(base: Iterable[Triple], n: int) -> TripleSystem:
     return TripleSystem(v=6 * n + 1, blocks=blocks)
 
 
-def mark_blocks(cover: bytearray, v: int, blocks: Iterable[Sequence[int]]) -> bool:
-    """Mark the pairs of each block in ``cover``, a v*v bytearray; False at
-    the first block that is not 3 distinct points of 0..v-1 or that holds a
-    pair marked already, True when every block was marked.
+def verify_sts(system: TripleSystem) -> bool:
+    """True iff every unordered point pair lies in exactly one block and the
+    block count is v(v-1)/6.
 
-    The pair p < q is marked at p*v + q.  Three compare-and-swaps order a
-    block's points: for the 240,200 blocks of order 200 the marking takes
-    about 90 ms with them and 150 ms with sorted() (2-vCPU Xeon, Python 3.11).
+    The pair p < q is marked at p*v + q in one v*v bytearray; a block that
+    is not 3 distinct points of 0..v-1, or that holds a pair marked already,
+    fails.  Three compare-and-swaps order a block's points: for the 240,200
+    blocks of order 200 the marking takes about 90 ms with them and 150 ms
+    with sorted() (2-vCPU Xeon, Python 3.11).  The closing count of marks is
+    exact: v(v-1)/6 blocks without a repeated pair mark v(v-1)/2 pairs,
+    which are then all of them.
     """
-    for block in blocks:
+    v = system.v
+    if v < 1 or len(system.blocks) * 6 != v * (v - 1):
+        return False
+    cover = bytearray(v * v)
+    for block in system.blocks:
         if len(block) != 3:
             return False
         a, b, c = block
@@ -130,22 +146,21 @@ def mark_blocks(cover: bytearray, v: int, blocks: Iterable[Sequence[int]]) -> bo
         if cover[ab] or cover[ac] or cover[bc]:
             return False
         cover[ab] = cover[ac] = cover[bc] = 1
+    return cover.count(1) == v * (v - 1) // 2
+
+
+def _is_difference_family(base: Iterable[Triple], v: int) -> bool:
+    """True iff the differences +-(q-p) of the points of each base block,
+    reduced as develop_rows reduces them, are 6n distinct non-zero elements
+    of Z_v: then, and only then, the base develops into an STS(v)."""
+    seen = bytearray(v)
+    for block in base:
+        a, b, c = [int(p % v) for p in block]
+        for d in (b - a) % v, (c - b) % v, (a - c) % v:
+            if not d or seen[d]:
+                return False
+            seen[d] = seen[v - d] = 1
     return True
-
-
-def verify_sts(system: TripleSystem) -> bool:
-    """True iff every unordered point pair lies in exactly one block and the
-    block count is v(v-1)/6.
-
-    The blocks are marked by mark_blocks in one fresh cover.  The closing
-    count of marks is exact: v(v-1)/6 blocks without a repeated pair mark
-    v(v-1)/2 pairs, which are then all of them.
-    """
-    v = system.v
-    if v < 1 or len(system.blocks) * 6 != v * (v - 1):
-        return False
-    cover = bytearray(v * v)
-    return mark_blocks(cover, v, system.blocks) and cover.count(1) == v * (v - 1) // 2
 
 
 def write_sts(base: Sequence[Triple], n: int, write: Callable[[str], object]) -> bool:
@@ -154,23 +169,27 @@ def write_sts(base: Sequence[Triple], n: int, write: Callable[[str], object]) ->
 
     The text is a line "base (a,b,c)" per base block, then
     format_triple_system's text of develop_sts(base, n), then a newline.
-    It is written and checked one translate at a time, so only the v*v
-    cover and one row are held.  The rows and the cover come before the
-    first write: running out of memory there writes nothing.
+    It is written one translate at a time.  The verdict is verify_sts's,
+    taken from the base's differences (see the module docstring) with one
+    v-byte array in O(n) steps, where verify_sts needs a v*v cover and
+    O(v*n) steps.  Every block is checked to be a triple, and the rows and
+    the array are made, before the first write: a bad base, or running out
+    of memory there, writes nothing.
     """
+    for block in base:
+        if len(block) != 3:
+            raise ValueError(f"expected base blocks of 3 points, got {tuple(block)}")
     v = 6 * n + 1
     rows = develop_rows(base, n)
-    cover = bytearray(v * v)
+    ok = _is_difference_family(base, v)
     for a, b, c in base:
         write(f"base ({a},{b},{c})\n")
     write(f"v={v}")
     line = "\n%d %d %d" * n
-    ok = True
     for row in rows:
         write(line % row)
-        ok = ok and mark_blocks(cover, v, zip(*[iter(row)] * 3))
     write("\n")
-    return ok and cover.count(1) == v * (v - 1) // 2
+    return ok
 
 
 def format_triple_system(system: TripleSystem) -> str:

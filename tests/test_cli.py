@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -329,8 +330,9 @@ def test_sts_stream_prints_a_damaged_system_and_fails(monkeypatch, capsys, base)
 
 
 def test_sts_holds_only_the_cover_and_one_translate(monkeypatch):
-    # STS(1201): the v*v cover is 1.4 MiB, where the 240,200 blocks and their
-    # text took over 27 MiB when the system was built whole
+    # STS(1201): the difference array is 1201 B and one translate 200 blocks,
+    # where the v*v pair cover took 1.4 MiB, and the 240,200 blocks and their
+    # text over 27 MiB when the system was built whole
     argv = ["sts", "--sequence", _skolem_4s(200), "--x", "11"]
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
@@ -340,7 +342,7 @@ def test_sts_holds_only_the_cover_and_one_translate(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 2**20
 
 
 def test_sts_invalid_sequence(capsys):
@@ -368,6 +370,22 @@ def test_sts_index_past_sys_maxsize_is_out_of_range(capsys, index):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"skolemgen: no sequence of order 4 at index {index}\n"
+
+
+def test_sts_answers_an_inadmissible_order_without_a_walk(monkeypatch, capsys):
+    # Skolem (1957): no sequence of order N = 2, 3 (mod 4); walking the whole
+    # tree of order 14 to find none took minutes
+    start = time.perf_counter()
+    assert run(["sts", "--order", "14"]) == 5
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "skolemgen: no sequence of order 14 at index 0\n")
+    walks = []
+    monkeypatch.setattr(cli.engine, "parallel_leaves", lambda *args: walks.append(args) or iter(()))
+    for order in (2, 3, 6, 7, 10, 11):
+        assert run(["sts", "--order", str(order), "--index", "2"]) == 5
+        assert capsys.readouterr() == ("", f"skolemgen: no sequence of order {order} at index 2\n")
+    assert walks == []
+    assert run(["sts", "--order", "6", "--index", "-1"]) == 2  # the usage check comes first
 
 
 def test_sts_argument_validation():

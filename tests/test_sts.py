@@ -1,6 +1,7 @@
 """Steiner triple systems built from Skolem sequences."""
 
 import random
+import re
 from collections import Counter
 from itertools import chain, combinations
 
@@ -264,8 +265,12 @@ def test_triple_system_normalises_blocks_to_tuples_of_ints():
 
 
 def test_write_sts_allocates_the_cover_before_its_first_write(monkeypatch):
-    # its text and verdict are checked through `skolemgen sts` in test_cli.py
+    # its text and verdict are checked through `skolemgen sts` in test_cli.py;
+    # what it allocates is the v-byte difference array, not a v*v cover
+    sizes = []
+
     def out_of_memory(size):
+        sizes.append(size)
         raise MemoryError()
 
     monkeypatch.setattr(sts, "bytearray", out_of_memory, raising=False)
@@ -273,3 +278,47 @@ def test_write_sts_allocates_the_cover_before_its_first_write(monkeypatch):
     with pytest.raises(MemoryError):
         write_sts(base_blocks(W4), 4, chunks.append)
     assert chunks == []
+    assert sizes == [25]
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (), (0, 1, 3, 4)])
+def test_write_sts_rejects_a_block_that_is_not_a_triple_before_writing(bad):
+    chunks = []
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        write_sts([(0, 1, 3), bad], 2, chunks.append)
+    assert chunks == []
+
+
+@pytest.mark.parametrize("order", [1, 4, 5, 8, 9])
+def test_the_difference_verdict_is_verify_sts_on_every_small_sequence(order):
+    for w in enumerate_skolem(order):
+        for x in (0, 1, 6 * order):
+            base = base_blocks(w, x)
+            # len as the writer takes each chunk and keeps none
+            assert write_sts(base, order, len) is verify_sts(develop_sts(base, order)) is True
+
+
+SMALL_SEQUENCES = [w for n in (1, 4, 5, 8) for w in enumerate_skolem(n)]
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_the_difference_verdict_is_verify_sts_on_damaged_bases(data):
+    w = data.draw(st.sampled_from(SMALL_SEQUENCES))
+    n, v = w.order, 6 * w.order + 1
+    base = [list(b) for b in base_blocks(w, data.draw(st.integers(0, 6 * n)))]
+    i, p = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2))
+    kind = data.draw(st.sampled_from(["move", "repeat a point", "add v", "repeat a block"]))
+    if kind == "move":
+        base[i][p] += data.draw(st.integers(-3, 3))
+    elif kind == "repeat a point":
+        base[i][p] = base[i][p - 1]
+    elif kind == "add v":
+        base[i][p] += v
+    else:
+        base[i] = list(base[data.draw(st.integers(0, n - 1))])
+    chunks = []
+    system = develop_sts(base, n)
+    assert write_sts(base, n, chunks.append) is verify_sts(system)
+    head = "".join(f"base ({a},{b},{c})\n" for a, b, c in base)
+    assert "".join(chunks) == head + format_triple_system(system) + "\n"
