@@ -20,8 +20,9 @@ failures, and open their files with ``with``.  Every line for stderr goes
 through ``engine.note``, which passes over a stderr that cannot be written,
 so stderr never changes the exit code.
 ``sts`` takes exactly one of --sequence and --order, and --index only with
---order; for an order N = 2, 3 (mod 4), where no Skolem sequence exists, it
-answers at once without a walk.  ``sts.write_sts`` prints its system one
+--order; with --order it checks --index and --x before any walk, and for an
+order N = 2, 3 (mod 4), where no Skolem sequence exists, it answers at once
+without a walk.  ``sts.write_sts`` prints its system one
 translate at a time and certifies it from the base blocks' differences, so
 neither a list of the v*n blocks nor a v*v pair cover is built.
 ``count-open`` and ``enumerate`` pass --workers (default 1) straight to
@@ -159,6 +160,9 @@ def cmd_sts(args) -> int:
         index = args.index or 0
         if index < 0:
             note(f"skolemgen: --index must be >= 0, got {index}")
+            return EXIT_USAGE
+        if not 0 <= args.x <= 6 * args.order:  # base_blocks's check, made before any walk
+            note(f"skolemgen: x must lie in 0..{6 * args.order}, got {args.x}")
             return EXIT_USAGE
         # Skolem (1957): a sequence of order N exists iff N = 0, 1 (mod 4), so
         # no walk is needed to find none.  Counted here, as islice refuses an

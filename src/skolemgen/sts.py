@@ -18,18 +18,19 @@ difference family (Colbourn and Rosa, *Triple Systems*, 1999).  For a
 Skolem base they are +-k, +-(i+n) and +-(j+n), which is +-1..+-3n.  That
 check takes one v-byte array and 6n steps.
 
-The development comes one translate at a time (develop_rows), so write_sts
-builds, checks and prints a system holding only that array and one
-translate's points: ``skolemgen sts`` runs it.  develop_sts, verify_sts and
-format_triple_system are the same steps in their plain forms, over a whole
-TripleSystem held in memory: they are the library's whole-system API and
-the tests' reference for write_sts.
+The development comes one translate at a time (develop_rows), which is
+also the one place a base is checked: n blocks of 3 points each.  So
+write_sts builds, checks and prints a system holding only that array and
+one translate's points: ``skolemgen sts`` runs it.  develop_sts,
+verify_sts and format_triple_system are the same steps in their plain
+forms, over a whole TripleSystem held in memory: they are the library's
+whole-system API and the tests' reference for write_sts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import SkolemSequence
@@ -57,23 +58,18 @@ def base_blocks(w: SkolemSequence | Sequence[int], x: int = 0) -> list[Triple]:
     length k sitting at positions i < j (1-based).
 
     Blocks come out in first-occurrence order of k, matching a left-to-right
-    read of the sequence.  Plain integer arithmetic; reduction mod 6n+1
-    happens in develop_sts.
+    read of the sequence: position i holding k is the first of its pair
+    exactly when position i+k holds k too.  Plain integer arithmetic;
+    reduction mod 6n+1 happens in develop_rows.
     """
     if not isinstance(w, SkolemSequence):
         w = SkolemSequence(tuple(w))
     n = w.order
     if not 0 <= x < 6 * n + 1:
         raise ValueError(f"x must lie in 0..{6 * n}, got {x}")
-    second: dict[int, int] = {}
-    order_seen: list[int] = []
-    for pos, k in enumerate(w.values, start=1):
-        if k in second:
-            second[k] = pos
-        else:
-            second[k] = 0
-            order_seen.append(k)
-    return [(x, x + k, x + second[k] + n) for k in order_seen]
+    vals = w.values
+    return [(x, x + k, x + i + k + n) for i, k in enumerate(vals, start=1)
+            if i + k <= 2 * n and vals[i + k - 1] == k]
 
 
 def develop_rows(base: Iterable[Triple], n: int) -> Iterator[tuple[int, ...]]:
@@ -83,34 +79,30 @@ def develop_rows(base: Iterable[Triple], n: int) -> Iterator[tuple[int, ...]]:
 
     Each point p of the base becomes one iterator of range(v) rotated to
     start at int(p % v), so a real point develops as int((p + t) % v) would;
-    zipping the iterators gives the rows.  The base is checked and its
-    points reduced here, when the call is made, and a base block with no
-    points leaves no rows.  Beside the rows handed out, this holds only the
-    3n iterators.
+    zipping the iterators gives the rows.  The base is checked to be n
+    triples, and its points reduced, here, when the call is made.  Beside
+    the rows handed out, this holds only the 3n iterators.
     """
     base = [tuple(b) for b in base]
     if len(base) != n:
         raise ValueError(f"expected {n} base blocks, got {len(base)}")
+    for block in base:
+        if len(block) != 3:
+            raise ValueError(f"expected base blocks of 3 points, got {block}")
     v = 6 * n + 1
-    if not all(base):
-        return iter(())
     starts = [int(p % v) for b in base for p in b]
     return zip(*[chain(range(s, v), range(s)) for s in starts])
 
 
 def develop_sts(base: Iterable[Triple], n: int) -> TripleSystem:
-    """Translate each base block by t = 0..v-1 mod v = 6n+1: the rows of
-    develop_rows, cut back into blocks.
+    """Translate each of the n base triples by t = 0..v-1 mod v = 6n+1: the
+    rows of develop_rows, cut back into triples.
 
     Emits v*n blocks, translate-major, duplicates kept: a bad base fails in
-    verify_sts instead of being silently papered over.  A base block with no
-    points leaves the whole system empty.
+    verify_sts instead of being silently papered over.
     """
-    base = [tuple(b) for b in base]
     rows = develop_rows(base, n)
-    ends = list(accumulate(map(len, base)))
-    spans = list(map(slice, [0, *ends], ends))  # each block's place in a row
-    blocks = chain.from_iterable(map(row.__getitem__, spans) for row in rows)
+    blocks = (row[i:i + 3] for row in rows for i in range(0, 3 * n, 3))
     return TripleSystem(v=6 * n + 1, blocks=blocks)
 
 
@@ -120,11 +112,8 @@ def verify_sts(system: TripleSystem) -> bool:
 
     The pair p < q is marked at p*v + q in one v*v bytearray; a block that
     is not 3 distinct points of 0..v-1, or that holds a pair marked already,
-    fails.  Three compare-and-swaps order a block's points: for the 240,200
-    blocks of order 200 the marking takes about 90 ms with them and 150 ms
-    with sorted() (2-vCPU Xeon, Python 3.11).  The closing count of marks is
-    exact: v(v-1)/6 blocks without a repeated pair mark v(v-1)/2 pairs,
-    which are then all of them.
+    fails.  The closing count of marks is exact: v(v-1)/6 blocks without a
+    repeated pair mark v(v-1)/2 pairs, which are then all of them.
     """
     v = system.v
     if v < 1 or len(system.blocks) * 6 != v * (v - 1):
@@ -133,13 +122,7 @@ def verify_sts(system: TripleSystem) -> bool:
     for block in system.blocks:
         if len(block) != 3:
             return False
-        a, b, c = block
-        if a > b:
-            a, b = b, a
-        if b > c:
-            b, c = c, b
-        if a > b:
-            a, b = b, a
+        a, b, c = sorted(block)
         if a < 0 or c >= v or a == b or b == c:
             return False
         ab, ac, bc = a * v + b, a * v + c, b * v + c
@@ -172,13 +155,10 @@ def write_sts(base: Sequence[Triple], n: int, write: Callable[[str], object]) ->
     It is written one translate at a time.  The verdict is verify_sts's,
     taken from the base's differences (see the module docstring) with one
     v-byte array in O(n) steps, where verify_sts needs a v*v cover and
-    O(v*n) steps.  Every block is checked to be a triple, and the rows and
-    the array are made, before the first write: a bad base, or running out
-    of memory there, writes nothing.
+    O(v*n) steps.  develop_rows checks the base, and the rows and the array
+    are made, before the first write: a bad base, or running out of memory
+    there, writes nothing.
     """
-    for block in base:
-        if len(block) != 3:
-            raise ValueError(f"expected base blocks of 3 points, got {tuple(block)}")
     v = 6 * n + 1
     rows = develop_rows(base, n)
     ok = _is_difference_family(base, v)

@@ -329,7 +329,7 @@ def test_sts_stream_prints_a_damaged_system_and_fails(monkeypatch, capsys, base)
     assert capsys.readouterr().out == _library_text(base, 4, "FAILED")
 
 
-def test_sts_holds_only_the_cover_and_one_translate(monkeypatch):
+def test_sts_holds_only_the_difference_array_and_one_translate(monkeypatch):
     # STS(1201): the difference array is 1201 B and one translate 200 blocks,
     # where the v*v pair cover took 1.4 MiB, and the 240,200 blocks and their
     # text over 27 MiB when the system was built whole
@@ -386,6 +386,17 @@ def test_sts_answers_an_inadmissible_order_without_a_walk(monkeypatch, capsys):
         assert capsys.readouterr() == ("", f"skolemgen: no sequence of order {order} at index 2\n")
     assert walks == []
     assert run(["sts", "--order", "6", "--index", "-1"]) == 2  # the usage check comes first
+
+
+@pytest.mark.parametrize("x", [9999, -1])
+def test_sts_refuses_an_x_past_6n_before_a_walk(monkeypatch, capsys, x):
+    # a usage error needs no walk, and comes before the answer for an inadmissible order
+    walks = []
+    monkeypatch.setattr(cli.engine, "parallel_leaves", lambda *args: walks.append(args) or iter(()))
+    for order in (9, 14):
+        assert run(["sts", "--order", str(order), "--x", str(x)]) == 2
+        assert capsys.readouterr() == ("", f"skolemgen: x must lie in 0..{6 * order}, got {x}\n")
+    assert walks == []
 
 
 def test_sts_argument_validation():

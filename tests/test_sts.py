@@ -3,7 +3,7 @@
 import random
 import re
 from collections import Counter
-from itertools import chain, combinations
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +37,27 @@ def test_base_blocks_translate_with_x():
 
 def test_base_blocks_of_order1():
     assert base_blocks((1, 1), 0) == [(0, 1, 3)]
+
+
+def _position_dict_base_blocks(w, x):
+    """The reference for base_blocks: each length's second position kept in
+    a dict, the lengths in a list in first-occurrence order."""
+    n = w.order
+    second, order_seen = {}, []
+    for pos, k in enumerate(w.values, start=1):
+        if k in second:
+            second[k] = pos
+        else:
+            second[k] = 0
+            order_seen.append(k)
+    return [(x, x + k, x + second[k] + n) for k in order_seen]
+
+
+@pytest.mark.parametrize("order", [1, 4, 5, 8, 9])
+def test_base_blocks_are_the_position_dict_form_on_every_small_sequence(order):
+    for w in enumerate_skolem(order):
+        for x in (0, 1, 6 * order):
+            assert base_blocks(w, x) == _position_dict_base_blocks(w, x)
 
 
 def test_base_blocks_reject_bad_input():
@@ -191,27 +212,35 @@ def test_develop_matches_the_translate_major_comprehension(case):
     assert ts.blocks == tuple(tuple((p + t) % v for p in b) for t in range(v) for b in base)
 
 
-@given(
-    st.integers(0, 3).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.lists(st.integers(-60, 60), max_size=4), min_size=n, max_size=n),
-        )
-    )
-)
+@st.composite
+def _base_with_a_block_not_a_triple(draw):
+    """(n, base, i): n blocks, triples before block i, block i of 0, 1, 2 or
+    4 points, and blocks of any of those sizes after it."""
+    point = st.integers(-60, 60)
+    n = draw(st.integers(1, 4))
+    i = draw(st.integers(0, n - 1))
+    base = draw(st.lists(st.lists(point, min_size=3, max_size=3), min_size=i, max_size=i))
+    base.append(draw(st.lists(point, max_size=4).filter(lambda b: len(b) != 3)))
+    base += draw(st.lists(st.lists(point, max_size=4), min_size=n - i - 1, max_size=n - i - 1))
+    return n, base, i
+
+
+@given(_base_with_a_block_not_a_triple())
+@example((2, [(0, 1, 3), ()], 1))
+@example((1, [(5,)], 0))
+@example((2, [(0, 1), (0, 1, 3)], 0))
+@example((2, [(0, 1, 3), (0, 1, 3, 4)], 1))
+@example((3, [(0, 1, 3), [2, 4], []], 1))
 @settings(max_examples=300, deadline=None)
-def test_develop_rows_are_the_comprehension_for_any_block_shape(case):
-    # blocks of mixed sizes are cut back out of the rows; an empty block
-    # empties the system
-    n, base = case
-    v = 6 * n + 1
-    expected = [tuple((p + t) % v for p in b) for t in range(v) for b in base]
-    if not all(base):
-        expected = []
-    assert develop_sts(base, n).blocks == tuple(expected)
-    rows = list(develop_rows(base, n))
-    assert rows == [tuple(chain.from_iterable(expected[t * n:(t + 1) * n])) for t in range(len(rows))]
-    assert len(rows) == (v if expected else 0)
+def test_a_base_block_not_a_triple_is_refused_alike_before_any_row(case):
+    n, base, i = case
+    message = f"expected base blocks of 3 points, got {tuple(base[i])}"
+    chunks = []
+    for develop in (develop_rows, develop_sts, lambda base, n: write_sts(base, n, chunks.append)):
+        with pytest.raises(ValueError) as refused:
+            develop(base, n)
+        assert str(refused.value) == message
+    assert chunks == []
 
 
 def test_develop_rows_checks_the_base_when_called():
@@ -226,11 +255,6 @@ def test_develop_takes_real_points_as_the_comprehension_did():
     v = 13
     expected = tuple(tuple(int((p + t) % v) for p in b) for t in range(v) for b in base)
     assert develop_sts(base, 2).blocks == expected
-
-
-def test_develop_with_an_empty_base_block_is_empty():
-    assert develop_sts([(0, 1, 3), ()], 2).blocks == ()
-    assert not verify_sts(develop_sts([(0, 1, 3), ()], 2))
 
 
 @given(st.lists(st.lists(st.integers(-20, 10**12), max_size=4), max_size=6))
@@ -264,7 +288,7 @@ def test_triple_system_normalises_blocks_to_tuples_of_ints():
     assert type(TripleSystem(7, [(True, 2, 4)]).blocks[0][0]) is int
 
 
-def test_write_sts_allocates_the_cover_before_its_first_write(monkeypatch):
+def test_write_sts_allocates_the_difference_array_before_its_first_write(monkeypatch):
     # its text and verdict are checked through `skolemgen sts` in test_cli.py;
     # what it allocates is the v-byte difference array, not a v*v cover
     sizes = []
