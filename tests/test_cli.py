@@ -65,7 +65,7 @@ def test_count_open_resource_failure(monkeypatch, capsys):
     # cli holds its own name for note, so its error line still prints
     monkeypatch.setattr(cli.engine, "PROGRESS_INTERVAL", 100)
     monkeypatch.setattr(cli.engine, "note", _out_of_memory)
-    assert run(["count-open", "--max-n", "10"]) == 3
+    assert run(["count-open", "--max-n", "11"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "skolemgen: resource exhaustion: synthetic\n"

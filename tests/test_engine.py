@@ -6,6 +6,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skolemgen import engine, oracle
 from skolemgen.core import (
@@ -77,7 +79,7 @@ def test_full_state_levels_agree_with_compressed_counts():
 
 @pytest.mark.parametrize("workers", [2, 3, 8])
 def test_counts_with_closed_form_tail_match_full_states(workers, eight_cpus):
-    # the split puts seeds one, two or three levels short of some of these
+    # the split puts seeds one to four levels short of some of these
     # targets
     for m in range(1, 9):
         sizes = [len(level) for level in iter_level_states(m)]
@@ -90,12 +92,12 @@ def test_counts_match_an_enumeration_walk_that_enters_every_level(k):
     assert count_open_levels(2 * k) == dfs_enumerate(k, prune=False).per_level_counts
 
 
-def test_counting_walk_enters_no_node_of_the_last_three_levels(monkeypatch, capsys):
-    # one heartbeat per node entered: the root and levels 1..5 of 8
+def test_counting_walk_enters_no_node_of_the_last_four_levels(monkeypatch, capsys):
+    # one heartbeat per node entered: the root and levels 1..4 of 8
     monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 1)
     count_open_levels(8)
     beats = capsys.readouterr().err.splitlines()
-    assert len(beats) == 1 + sum(OPEN_COUNTS_12[:5]) == 36
+    assert len(beats) == 1 + sum(OPEN_COUNTS_12[:4]) == 16
     assert all("visited" in line for line in beats)
 
 
@@ -109,21 +111,64 @@ def _mask_children(O, U):
         yield (O ^ b) << 1, U | b
 
 
+def _sizes_below(nodes, depth):
+    """Node counts of the 1..depth levels below ``nodes``, by expansion."""
+    sizes = []
+    for _ in range(depth):
+        nodes = [c for x in nodes for c in _mask_children(*x)]
+        sizes.append(len(nodes))
+    return sizes
+
+
+def _lane_words(nodes):
+    """The fewest 64-bit words a lane of ``_three_below`` needs for ``nodes``."""
+    top = max(O | U for O, U in nodes).bit_length()
+    return (top + 3 + 63) // 64
+
+
 def test_closed_form_tail_matches_a_mask_expansion():
-    # every node of levels 0..8 against a brute-force expansion 1..4 levels
-    # below it: a count seed one, two or three levels short, or walked
+    # every node of levels 0..8 against a brute-force expansion 1..6 levels
+    # below it: a count seed one to four levels short, or walked to a level
+    # four short of its target; and every level at once as one batch
     level = [(0, 0)]
     for n in range(9):
         for node in level:
-            below = [[node]]
-            for _ in range(4):
-                below.append([c for x in below[-1] for c in _mask_children(*x)])
-            sizes = [len(nodes) for nodes in below[1:]]
-            assert engine._two_below(*node) == (sizes[0], sizes[1])
-            for d in range(1, 5):
+            sizes = _sizes_below([node], 6)
+            assert engine._three_below([node[0]], [node[1]], 1) == tuple(sizes[:3])
+            for d in range(1, 7):
                 assert engine._count_below(((n, *node, 0, 0, 0, 0), n + d)) == sizes[:d]
+        Os, Us = map(list, zip(*level))
+        assert engine._three_below(Os, Us, 1) == tuple(_sizes_below(level, 3))
         level = [c for x in level for c in _mask_children(*x)]
     assert len(level) == OPEN_COUNTS_12[8]
+
+
+def test_count_below_widens_its_lanes_past_one_word():
+    # seeds whose oldest arc, *n, is open: from a listing level of 60 on, a
+    # child's masks pass the 61 bits a one-word lane holds.  The forms and
+    # the walk read masks only, so the seeds need not be reachable.
+    for n in range(56, 67):
+        node = (1 << n | 0b110, 0b1000)
+        sizes = _sizes_below([node], 6)
+        for d in range(1, 7):
+            assert engine._count_below(((n, *node, 0, 0, 0, 0), n + d)) == sizes[:d]
+
+
+def _batches(top):
+    mask = st.sets(st.integers(1, top), max_size=6).map(lambda bits: sum(1 << b for b in bits))
+    return st.lists(st.tuples(mask, mask), min_size=1, max_size=40)
+
+
+@given(st.integers(1, 130).flatmap(_batches))
+@settings(max_examples=200, deadline=None)
+def test_batch_tail_matches_a_mask_expansion_on_any_masks(nodes):
+    # masks with bit 0 clear up to bit 130, in lanes of one to three words
+    Os, Us = map(list, zip(*nodes))
+    assert engine._three_below(Os, Us, _lane_words(nodes)) == tuple(_sizes_below(nodes, 3))
+
+
+def test_counts_of_the_levels_past_twelve_are_frozen():
+    assert count_open_levels(16)[12:] == [169044, 619672, 2342256, 9087024]
 
 
 def test_counting_argument_errors():
@@ -141,7 +186,7 @@ def test_memory_failure_propagates(monkeypatch):
     monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 100)
     monkeypatch.setattr(engine, "print", _out_of_memory, raising=False)
     with pytest.raises(MemoryError, match="^synthetic$"):
-        count_open_levels(10)
+        count_open_levels(11)
 
 
 # ---------------------------------------------------------------------------
