@@ -162,42 +162,67 @@ full length.
 Merging equal nodes.  Many prefixes reach the same node, and the walk
 would search its subtree again each time.  So within ``MERGE_DEPTH``
 positions of full length the pruned walk records, when a node's children
-have all settled, its live-children mask: bit 0 for the opener and bit j
-for "close *j", set when that child reached a Skolem leaf.  A node equal to
-a recorded one is merged: the walk pushes the children in its mask, in
-canonical order, and runs no test; a mask of 0 settles it at once.  This is
-sound.  (O, U) fixes n = 2 popcount(U) + popcount(O), and T, ``low`` and lo
-are functions of (n, O, U), so the children a node keeps and every subtree
-below them depend on (O, U) alone.  Closing *j writes only ent[n-1] and
-ent[n-1-j], which is the start of an arc open at the node or a position
-after n, so every completion writes the same positions with the same values
-whatever the prefix.  A replayed child writes its entries as an expanded one
-does, and the leaves, their order and their entries do not change.
+have all settled, its replay: a flat tuple that lists the node's live
+subtree, the nodes on its paths to Skolem leaves, in canonical depth-first
+order.  It holds one step (m, j) per node of length m that closed *j, or
+opened an arc when j = 0, and a leaf mark right after each leaf's step; a
+step writes ``ent[m-1] = ent[m-1-j] = j``.  The replay is built bottom up:
+over the node's live children in canonical order, each child's step
+followed by its part, which is a leaf's mark, the replay an expanded child
+has just built, or the one recorded for a merged child.  A node equal to a
+recorded one is merged: the walk runs its replay in one loop, writing and
+counting each step and yielding at each mark, and pushes nothing and
+looks nothing up; an empty replay settles it at once.
 
-A node is recorded after its children, so the children in a recorded mask
-are recorded too, or at full length, which has no record.  The record holds
-at most ``MERGE_CAP`` nodes.  Once full it keeps them and records no more,
-so a node within reach then pays one lookup and nothing else, and a
-replayed child still finds its own record.  The two constants against
-time and peak RSS (2 vCPUs, Python 3.11.7, a shared host): the first
-20,000 leaves of order 12 from ``enumerate_skolem``, and ``dfs_enumerate``
-of orders 11 and 12.  Times are medians of runs alternating in one process,
-7 a row for the first two walks and 3 for order 12; peak RSS is from a run
-of its own.
+This is sound.  (O, U) fixes n = 2 popcount(U) + popcount(O), and T,
+``low`` and lo are functions of (n, O, U), so the children a node keeps
+and every subtree below them depend on (O, U) alone.  Closing *j writes
+only ent[n-1] and ent[n-1-j], which is the start of an arc open at the
+node or a position after n, so a completion writes only positions that
+(O, U) fixes, with the same values whatever the prefix.  A replay writes
+them in the order the expanded subtree did, so the leaves, their order and
+their entries do not change.  An opener's step writes 0 at position m-1,
+the start of the arc it opens; a leaf has no open arc, so the closer of
+that arc, a later step on the path to every leaf below, writes that
+position again before the leaf.  The opener is a step all the same, so
+that ``visits[m]`` counts it.  Each interior node of a replay, a step not
+followed by a mark, counts as merged, as it did when a merged node
+replayed its children one at a time and looked each of them up; each leaf
+counts as entered, so the heartbeat fires at the same leaves.
+
+The record holds at most ``MERGE_CAP`` nodes.  Once full it keeps them and
+records no more, so a node within reach then pays one lookup and builds
+no replay, and no replay grows once its node has settled.  The two
+constants against time and peak RSS (2 vCPUs, Python 3.11.7, a shared
+host): the first 20,000 leaves of order 12 from ``enumerate_skolem``, and
+``dfs_enumerate`` of orders 11 and 12.  Times are medians of runs
+alternating in one process, 7 a row for the first two walks and 3 for
+order 12; peak RSS is from a run of its own.  Each second line is the
+walk that kept a live-children mask per node and pushed a merged node's
+live children one at a time, measured alongside.
 
     depth, cap      20,000 leaves     order 11 (empty)   order 12
-    0 (no merging)  0.80 s  14.5 MiB  0.94 s  14.5 MiB  17.4 s  14.5 MiB
-    6, 2^17         0.60 s  15.8 MiB  0.63 s  15.8 MiB  13.0 s  20.2 MiB
-    8, 2^15         0.58 s  17.2 MiB  0.65 s  17.0 MiB  16.7 s  17.1 MiB
-    8, 2^17 (used)  0.56 s  17.2 MiB  0.54 s  19.6 MiB  11.5 s  25.4 MiB
-    8, 2^18         0.55 s  17.2 MiB  0.53 s  19.7 MiB  11.3 s  36.1 MiB
-    10, 2^17        0.52 s  17.1 MiB  0.50 s  24.7 MiB  13.5 s  25.4 MiB
+    0 (no merging)  0.50 s  17.0 MiB  0.68 s  17.0 MiB  11.7 s  17.0 MiB
+      masks         0.51 s  16.9 MiB  0.66 s  17.0 MiB  12.2 s  16.9 MiB
+    6, 2^17         0.35 s  18.3 MiB  0.44 s  17.7 MiB   7.1 s  26.7 MiB
+      masks         0.41 s  17.7 MiB  0.44 s  17.9 MiB   8.3 s  22.1 MiB
+    8, 2^15         0.30 s  20.5 MiB  0.46 s  19.1 MiB  10.6 s  21.1 MiB
+      masks         0.37 s  19.2 MiB  0.44 s  18.9 MiB  12.3 s  19.1 MiB
+    8, 2^17 (used)  0.30 s  20.4 MiB  0.36 s  21.8 MiB   7.7 s  35.0 MiB
+      masks         0.37 s  19.2 MiB  0.36 s  21.7 MiB   9.5 s  27.3 MiB
+    8, 2^18         0.30 s  20.5 MiB  0.40 s  21.7 MiB   6.1 s  56.8 MiB
+      masks         0.37 s  19.1 MiB  0.36 s  21.6 MiB   8.0 s  37.9 MiB
+    10, 2^17        0.32 s  21.9 MiB  0.36 s  26.7 MiB   8.6 s  37.9 MiB
+      masks         0.38 s  19.2 MiB  0.37 s  26.7 MiB   9.8 s  27.5 MiB
 
 The first 20,000 leaves record about 22,000 nodes, under every cap in the
-table; the whole order-12 walk fills 2^17 records after about a fifth of
-its leaves.  A cap of 2^15 fills too early to gain there, and 2^18 gains
-2% for 11 MiB more.  Depth 10 records more nodes that recur less often;
-depth 6 merges fewer.
+table, whose replays hold about 126,000 steps and marks; the whole
+order-12 walk fills 2^17 records after about a fifth of its leaves.  A cap
+of 2^15 fills too early to gain there.  2^18 takes a fifth off the
+order-12 walk for 22 MiB more, and nothing off the first 20,000 leaves.
+Depth 10 records
+more nodes that recur less often; depth 6 merges fewer.  Order 11 is
+empty, so its replays are empty too, and both records cost the same.
 """
 
 from __future__ import annotations
@@ -451,14 +476,16 @@ def _walk(
     walk that stops at full length, 2 * ``order``, also merges equal nodes
     within ``MERGE_DEPTH`` positions of it: a node equal to one it expanded
     before is added to ``visits`` and ``merged[0]`` (a count of its own when
-    ``merged`` is None) and is not entered, and the walk pushes the live
-    children recorded for it without a test (see the module docstring).  So
-    each node that a walk towards full length counts in ``visits`` was
-    entered, cut or merged, exactly one of them, and ``sum(visits)`` less
-    the cuts and merges is exactly the number of nodes entered.  A walk
-    stopped at a leaf has settled the nodes it entered or merged up to the
-    leaf and every child their parents cut, those after the leaf in
-    canonical order too, but not the pushed children it never reached.
+    ``merged`` is None) and is not entered, and the walk replays the live
+    subtree recorded for it without a test: each leaf of the replay counts
+    as entered and every other node of it as merged (see the module
+    docstring).  So each node that a walk towards full length counts in
+    ``visits`` was entered, cut or merged, exactly one of them, and
+    ``sum(visits)`` less the cuts and merges is exactly the number of nodes
+    entered.  A walk stopped at a leaf has settled the nodes it entered or
+    merged up to the leaf, a replay's too, and every child their parents
+    cut, those after the leaf in canonical order too, but not the pushed
+    children or the replayed nodes it never reached.
 
     At ``len(ent)`` the walk yields the node it popped: at full length only
     a node whose used mask holds every length 1..``order``, a Skolem leaf,
@@ -480,10 +507,11 @@ def _walk(
     # children.
     stack = [seed]
     pop, push = stack.pop, stack.append
-    # live[n]: the live-children mask of the expanded node of length n on the
-    # current path; bit 0 is the opener, bit j "close *j"
-    live = [0] * (depth + 1)
-    memo: dict[int, int] = {}  # (O, U) packed as O << width | U -> live mask
+    # rep[n]: the replay built so far by the recording node of length n on
+    # the current path, a tuple that each live child extends; None when that
+    # node does not record
+    rep: list[tuple | None] = [None] * (depth + 1)
+    memo: dict[int, tuple] = {}  # (O, U) packed as O << width | U -> replay
     recorded = memo.get
     memo_cap = MERGE_CAP
     width = order + 1
@@ -496,42 +524,54 @@ def _walk(
         ]
         if goal:
             merge_from = depth - MERGE_DEPTH
+            # steps[m][j]: the step (m, j) of a node of length m that closed *j,
+            # in a 1-tuple to extend replays with; built for the lengths below
+            # a recording node
+            steps = [[((m, j),) for j in range(width) if m > merge_from] for m in range(depth + 1)]
         if merged is None:
             merged = [0]
     while stack:
         n, O, U, j, T, low, lo = pop()
         if j:
             if j < 0:
-                # The node's children have all settled: record which lived.
-                mask = live[n]
+                # The node's children have all settled: record its replay.
+                r = rep[n]
+                rep[n] = None
                 if len(memo) < memo_cap:
-                    memo[O] = mask
-                if mask:
-                    live[n - 1] |= 1 << ~j
+                    memo[O] = r
+                if r and (parts := rep[n - 1]) is not None:
+                    rep[n - 1] = parts + steps[n][~j] + r
                 continue
             ent[n - 1] = ent[n - 1 - j] = j
         visits[n] += 1
         if merge_from <= n < depth:
             key = O << width | U
-            mask = recorded(key)
-            if mask is not None:
+            r = recorded(key)
+            if r is not None:
                 # Merged: an equal node was expanded before.  Replay its live
-                # children, which are leaves or merged in turn.
+                # subtree: each step writes a node's entries, and each leaf
+                # mark (None) follows a leaf's step.
                 merged[0] += 1
-                if mask:
-                    live[n - 1] |= 1 << j
-                    n += 1
-                    rest = mask & ~1
-                    while rest:
-                        j = rest.bit_length() - 1
-                        b = 1 << j
-                        rest ^= b
-                        push((n, (O ^ b) << 1, U | b, j, 0, 0, 0))
-                    if mask & 1:
-                        push((n, O << 1 | 2, U, 0, 0, 0, 0))
+                if r and (parts := rep[n - 1]) is not None:
+                    rep[n - 1] = parts + steps[n][j] + r
+                k = 0  # steps since the last leaf
+                for s in r:
+                    if s is None:
+                        merged[0] += k - 1  # the nodes above the leaf
+                        k = 0
+                        t += 1
+                        if t == beat:
+                            note(f"skolemgen: visited {t} nodes (currently at level {depth} of {depth})")
+                            beat += PROGRESS_INTERVAL
+                        yield depth, 0, goal, j, 0, 0, 0
+                    else:
+                        m, j = s
+                        ent[m - 1] = ent[m - 1 - j] = j
+                        visits[m] += 1
+                        k += 1
                 continue
             if len(memo) < memo_cap:
-                live[n] = 0
+                rep[n] = ()
                 push((n, key, 0, ~j, 0, 0, 0))
         t += 1
         if t == beat:
@@ -539,7 +579,8 @@ def _walk(
             beat += PROGRESS_INTERVAL
         if n == depth:
             if U & goal == goal:
-                live[n - 1] |= 1 << j  # read only if the parent records
+                if (parts := rep[n - 1]) is not None:
+                    rep[n - 1] = parts + steps[n][j] + (None,)
                 yield n, O, U, j, T, low, lo
             continue
         if cut is not None:

@@ -1,9 +1,12 @@
 """Tree traversal: counting cross-checks, enumeration order, pruning
 soundness, parallel determinism, and resource-failure plumbing."""
 
+import hashlib
 import multiprocessing
 import sys
+import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -755,8 +758,8 @@ def test_merged_walk_from_any_seed_matches_a_counter_sweep(order):
 
 @pytest.mark.parametrize("cap", [0, 1, 64])
 def test_merged_walk_leaves_match_at_tiny_caps(monkeypatch, cap):
-    # a full record keeps its entries and records nothing more, so a node it
-    # replays has every live child recorded or at full length
+    # a full record keeps its replays and records nothing more, so a merged
+    # node replays a whole subtree that was recorded while there was room
     orders = range(1, 11)
     monkeypatch.setattr(engine, "MERGE_DEPTH", 0)
     tree = [[s.values for s in enumerate_skolem(order)] for order in orders]
@@ -764,6 +767,45 @@ def test_merged_walk_leaves_match_at_tiny_caps(monkeypatch, cap):
     monkeypatch.setattr(engine, "MERGE_CAP", cap)
     assert [[s.values for s in enumerate_skolem(order)] for order in orders] == tree
     assert sum(map(len, tree)) == 1 + 6 + 10 + 504 + 2656
+    if cap == 0:
+        # a record with no room merges nothing: the tree's own figures
+        for order, visits, cut in [
+            (8, ORDER8_VISITS, 4962), (9, ORDER9_VISITS, 27437), (10, ORDER10_VISITS, 83728),
+        ]:
+            r = dfs_enumerate(order)
+            assert (r.per_level_counts, r.pruned_nodes, r.merged_nodes) == (visits, cut, 0)
+
+
+def test_a_full_record_builds_no_more_replays(monkeypatch):
+    # Once the record is full, no node builds a replay, and no replay grows
+    # once its node has settled.  At this cap the walk's peak is about 23 KB;
+    # a walk that kept extending a settled replay with each leaf's step and
+    # mark would pass 40 KB before the 2656 leaves are out.
+    monkeypatch.setattr(engine, "MERGE_CAP", 64)
+    visits, cut, merged = [0] * 19, [0], [0]
+    tracemalloc.start()
+    try:
+        leaves = sum(1 for _ in engine._walk([0] * 18, engine._root(9), visits, 9, cut, merged))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert leaves == 2656 and merged[0] > 0
+    assert peak < 40_000
+
+
+def test_merged_walk_stopped_at_the_20000th_order12_leaf():
+    # the benchmark's enumerate prefix: the walk stops inside replays, and
+    # every figure counts exactly the nodes settled up to that leaf
+    visits, cut, merged = [0] * 25, [0], [0]
+    walk = engine._leaves(engine._root(12), (), 12, visits, cut, merged)
+    leaves = list(islice(walk, 20_000))
+    assert visits[1:] == [
+        1, 1, 1, 1, 1, 1, 2, 12, 71, 357, 1473, 4629, 12192, 20113,
+        28656, 35742, 24517, 25455, 27219, 26690, 24088, 21377, 20110, 20012,
+    ]
+    assert (cut[0], merged[0]) == (81812, 132325)
+    digest = hashlib.md5(bytes(v for leaf in leaves for v in leaf)).hexdigest()
+    assert digest == "b2865a1d1f839e0a02726c65ff4584af"
 
 
 ORDER10_VISITS_BEFORE = [
