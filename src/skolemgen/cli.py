@@ -40,10 +40,9 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from . import engine
-from .core import InvalidSequenceError, SkolemSequence, parse_entries, skolem_violation
+from .core import FrozenRecord, InvalidSequenceError, SkolemSequence, parse_entries, skolem_violation
 from .engine import note
 from .render import render_arc_diagram
 from .sts import base_blocks, write_sts
@@ -55,12 +54,14 @@ EXIT_IO = 4
 EXIT_INVALID = 5
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(FrozenRecord):
     """One emitted Skolem sequence: its canonical text payload and its order."""
 
-    payload: str
-    order: int
+    __slots__ = ("payload", "order")
+
+    def __init__(self, payload: str, order: int) -> None:
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "order", order)
 
     @classmethod
     def for_sequence(cls, seq: SkolemSequence) -> "OutputRecord":

@@ -34,25 +34,65 @@ open one, e.g. ``"*7,4,1,1,*3,4,*1"``.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import repeat
-from typing import Iterable, Sequence
+from operator import attrgetter
 
 
 class InvalidSequenceError(ValueError):
     """Raised when input fails a Skolem / open-Skolem invariant."""
 
 
-@dataclass(frozen=True)
-class Entry:
+class FrozenRecord:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in ``__slots__`` and takes them, in that
+    order, in its ``__init__``, which sets each one once with
+    ``object.__setattr__``.  Instances then refuse assignment and deletion
+    with ``AttributeError``, compare and hash by their fields (equal only
+    within one class), print as ``Name(field=value, ...)``, and pickle and
+    copy by calling the class on their fields, so they are safe to ship
+    between worker processes.  It takes the place of a frozen dataclass:
+    importing ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``, which would cost every command more start-up time than
+    the rest of the package's import does.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)  # the fields, or the one field, compared and hashed
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+
+class Entry(FrozenRecord):
     """One element of a decorated sequence: a closed length or an open *value."""
 
-    value: int
-    is_open: bool = False
+    __slots__ = ("value", "is_open")
 
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise InvalidSequenceError(f"value: entry value must be >= 1, got {self.value}")
+    def __init__(self, value: int, is_open: bool = False) -> None:
+        if value < 1:
+            raise InvalidSequenceError(f"value: entry value must be >= 1, got {value}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "is_open", is_open)
 
     @classmethod
     def closed(cls, value: int) -> "Entry":
@@ -66,8 +106,7 @@ class Entry:
         return f"*{self.value}" if self.is_open else str(self.value)
 
 
-@dataclass(frozen=True)
-class OpenState:
+class OpenState(FrozenRecord):
     """An open Skolem sequence together with its set of used lengths.
 
     ``entries`` is the decorated sequence, ``used`` the closed values without
@@ -76,8 +115,11 @@ class OpenState:
     between workers freely.
     """
 
-    entries: tuple[Entry, ...] = ()
-    used: frozenset[int] = frozenset()
+    __slots__ = ("entries", "used")
+
+    def __init__(self, entries: tuple[Entry, ...] = (), used: frozenset[int] = frozenset()) -> None:
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "used", used)
 
     @property
     def order(self) -> int:
@@ -102,14 +144,13 @@ class OpenState:
 EMPTY_STATE = OpenState()
 
 
-@dataclass(frozen=True)
-class SkolemSequence:
+class SkolemSequence(FrozenRecord):
     """A validated Skolem sequence; construction rejects invalid input."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, values: Iterable[int]) -> None:
+        object.__setattr__(self, "values", tuple(values))
         reason = skolem_violation(self.values)
         if reason is not None:
             raise InvalidSequenceError(reason)

@@ -233,12 +233,11 @@ import struct
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from itertools import islice, repeat
 from operator import mul
-from typing import Iterator
 
-from .core import OpenState, SkolemSequence, children
+from .core import FrozenRecord, OpenState, SkolemSequence, children
 
 PROGRESS_INTERVAL = 10_000_000  # visited-node liveness signal, stderr
 # The pruned walk merges equal nodes within MERGE_DEPTH positions of full
@@ -267,7 +266,6 @@ def note(text: str) -> None:
         pass
 
 
-@dataclass
 class EnumerationReport:
     """Outcome of one tree traversal towards a target order.
 
@@ -277,15 +275,20 @@ class EnumerationReport:
     before).  ``pruned_nodes`` counts the cut ones and ``merged_nodes`` the
     merged ones, so the walk entered exactly
     1 + sum(per_level_counts) - pruned_nodes - merged_nodes nodes, the root
-    included.
+    included.  A mutable record that prints by its fields, as ``FrozenRecord``
+    does; it compares by identity.
     """
 
-    target_order: int
-    per_level_counts: list[int] = field(default_factory=list)
-    skolem_count: int = 0
-    pruned_nodes: int = 0
-    merged_nodes: int = 0
-    elapsed: float = 0.0  # seconds
+    __slots__ = ("target_order", "per_level_counts", "skolem_count", "pruned_nodes", "merged_nodes",
+                 "elapsed")  # elapsed in seconds
+    __repr__ = FrozenRecord.__repr__
+
+    def __init__(self, target_order: int, per_level_counts: list[int] | None = None,
+                 skolem_count: int = 0, pruned_nodes: int = 0, merged_nodes: int = 0,
+                 elapsed: float = 0.0) -> None:
+        self.target_order, self.skolem_count, self.elapsed = target_order, skolem_count, elapsed
+        self.pruned_nodes, self.merged_nodes = pruned_nodes, merged_nodes
+        self.per_level_counts = [] if per_level_counts is None else per_level_counts
 
     def summary(self) -> str:
         """Human-readable run report, including the classical-search comparison."""

@@ -8,7 +8,7 @@ traversal is measured against, so it must not share its machinery.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .core import SkolemSequence
 

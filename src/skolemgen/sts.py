@@ -29,28 +29,26 @@ whole-system API and the tests' reference for write_sts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import SkolemSequence
+from .core import FrozenRecord, SkolemSequence
 
 Triple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class TripleSystem:
+class TripleSystem(FrozenRecord):
     """Points 0..v-1 and a list of 3-element blocks.
 
     Holding a TripleSystem does not certify the Steiner property; that is
     what verify_sts is for.
     """
 
-    v: int
-    blocks: tuple[Triple, ...]
+    __slots__ = ("v", "blocks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(map(int, b)) for b in self.blocks))
+    def __init__(self, v: int, blocks: Iterable[Iterable[int]]) -> None:
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "blocks", tuple(tuple(map(int, b)) for b in blocks))
 
 
 def base_blocks(w: SkolemSequence | Sequence[int], x: int = 0) -> list[Triple]:
@@ -103,10 +101,9 @@ def develop_sts(base: Iterable[Triple], n: int) -> TripleSystem:
     """
     rows = develop_rows(base, n)
     blocks = tuple(row[i:i + 3] for row in rows for i in range(0, 3 * n, 3))
-    # The rows hold ints already, so the blocks skip __post_init__'s
+    # The rows hold ints already, so the blocks are set past __init__'s
     # normalisation, which would double the time spent here.
-    system = object.__new__(TripleSystem)
-    object.__setattr__(system, "v", 6 * n + 1)
+    system = TripleSystem(6 * n + 1, ())
     object.__setattr__(system, "blocks", blocks)
     return system
 

@@ -72,22 +72,28 @@ def test_count_open_resource_failure(monkeypatch, capsys):
 
 
 def test_one_worker_never_imports_the_process_pool():
-    # the pool, and multiprocessing with it, load only when there are workers
+    # The pool, and multiprocessing with it, load only when there are
+    # workers; dataclasses (with inspect, ast, dis and tokenize) and typing
+    # load never.  Each would add start-up time to every command.  -S keeps
+    # site hooks from loading any of them before the package does.
     code = (
         "import sys\n"
+        "heavy = {'dataclasses', 'inspect', 'typing', 'concurrent.futures', 'multiprocessing'}\n"
         "import skolemgen.cli\n"
-        "pool = {'multiprocessing', 'concurrent.futures'}\n"
-        "print(sorted(pool & set(sys.modules)))\n"
-        "code = skolemgen.cli.main(['count-open', '--max-n', '5', '--workers', '1'])\n"
-        "print(code, sorted(pool & set(sys.modules)))\n"
+        "print(sorted(heavy & set(sys.modules)))\n"
+        "for argv in (['count-open', '--max-n', '5', '--workers', '1'], ['enumerate', '--order', '4'],\n"
+        "             ['verify'], ['sts', '--sequence', '1,1']):\n"
+        "    print(skolemgen.cli.main(argv), sorted(heavy & set(sys.modules)), file=sys.stderr)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env(), timeout=60
+        [sys.executable, "-S", "-c", code], input="1,1\n", capture_output=True, text=True,
+        env=_cli_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "[]", "n=1 count=1", "n=2 count=2", "n=3 count=4", "n=4 count=8", "n=5 count=20", "0 []",
-    ]
+    lines = proc.stdout.splitlines()
+    assert lines[:6] == ["[]", "n=1 count=1", "n=2 count=2", "n=3 count=4", "n=4 count=8", "n=5 count=20"]
+    assert "OK order=1" in lines and lines[-1] == "VERIFIED"
+    assert [line for line in proc.stderr.splitlines() if not line.startswith("skolemgen:")] == ["0 []"] * 4
 
 
 def test_count_open_resource_failure_in_a_worker(monkeypatch, capsys):
