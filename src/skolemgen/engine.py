@@ -227,13 +227,14 @@ empty, so its replays are empty too, and both records cost the same.
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 import struct
 import sys
 import time
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import islice, repeat
 from operator import mul
 
@@ -249,6 +250,8 @@ MERGE_CAP = 1 << 17
 # and 1,800 at K = 16.  Batches of 512 and 1024 nodes were up to 4% faster
 # and took up to 1.3 MiB more peak RSS at K = 18 (2 vCPUs, Python 3.11.7).
 _BATCH = 256
+# A worker sends a subtree's leaves to the reader this many at a time.
+_FRAME = 256
 
 # A node as the walk holds it, (n, O, U, j, T, low, lo): j > 0 when the node
 # closed *j; the pruned walk carries the node's position sums, other walks
@@ -811,7 +814,9 @@ def _worker_count(workers: int) -> int:
     on stderr when capped; below 1 is an error."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if hasattr(os, "sched_getaffinity"):
+    if not hasattr(os, "fork"):  # ``_pool`` forks its workers
+        cpus = 1
+    elif hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # not every platform has it
         cpus = os.cpu_count() or 1
@@ -821,15 +826,141 @@ def _worker_count(workers: int) -> int:
     return workers
 
 
+def _send(fd: int, job: int, payload: object) -> None:
+    """Write one frame to ``fd``: the job index and the payload's length,
+    then the payload in ``marshal`` form."""
+    data = marshal.dumps(payload)
+    data = struct.pack("<II", job, len(data)) + data
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _read(fd: int, size: int) -> bytes:
+    """``size`` bytes from ``fd``, or fewer if it closes first."""
+    data = b""
+    while len(data) < size and (more := os.read(fd, size - len(data))):
+        data += more
+    return data
+
+
+def _serve(run: Callable[..., Iterable], jobs: list, tasks: int, hand: int, out: int) -> None:
+    """A forked worker's whole life; it never returns.  It closes ``hand``,
+    its copy of the parent's end of the task pipe, so that the pipe closes
+    with the parent's, and takes job indices from ``tasks`` until it does.
+    For each job i it sends to ``out`` the items of ``run(jobs[i])`` in
+    frames of ``_FRAME``, then None, or the pickled exception the job
+    raised.  It leaves only through ``os._exit``, so nothing it inherited
+    (buffered output, the caller's frames) runs twice; its status is 0 only
+    once the task pipe has closed."""
+    status = 1
+    try:
+        os.close(hand)
+        while raw := os.read(tasks, 4):
+            i = int.from_bytes(raw, "little")
+            try:
+                items = iter(run(jobs[i]))
+                while frame := list(islice(items, _FRAME)):
+                    _send(out, i, frame)
+                _send(out, i, None)
+            except Exception as exc:
+                import pickle
+
+                _send(out, i, pickle.dumps(exc))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(procs: dict[int, int], frames: list) -> None:
+    """Wait for the workers whose frame pipes are the keys of ``procs``, and
+    file one frame from each that is ready under its job in ``frames``.  A
+    worker whose pipe has closed is reaped and dropped from ``procs``; one
+    that did not end cleanly raises ``MemoryError``."""
+    import select
+
+    for r in select.select(list(procs), [], [])[0]:
+        head = _read(r, 8)
+        if len(head) == 8:
+            job, size = struct.unpack("<II", head)
+            frame = _read(r, size)
+            if len(frame) == size:
+                frames[job].append(frame)
+                continue
+        # The pipe closed, so the worker has ended.
+        os.close(r)
+        code = os.waitstatus_to_exitcode(os.waitpid(procs.pop(r), 0)[1])
+        if code < 0:
+            raise MemoryError(f"worker process ended by signal {-code}")
+        if code:
+            raise MemoryError(f"worker process exited with status {code}")
+
+
+def _pool(run: Callable[..., Iterable], jobs: list, workers: int) -> Iterator:
+    """The items of ``run(job)`` for each job, in job order, each job run in
+    one of ``workers`` processes forked from this one, so neither the jobs
+    nor ``run`` are pickled; the items must suit ``marshal``.  The package
+    starts no thread, so a fork copies no lock that another thread holds.
+
+    The parent hands out job indices at most 4x ``workers`` jobs past the
+    job it is reading, and drains every worker with ``select``: it yields
+    the frames of the job being read as they arrive and buffers those of
+    later jobs.  An exception a job raised is raised again here when its
+    job is read; a worker that ends any other way raises ``MemoryError`` at
+    once.  Every way out of the generator kills and reaps the workers still
+    running.
+    """
+    import signal
+
+    tasks, hand = os.pipe()
+    procs: dict[int, int] = {}  # a worker's frame pipe -> its pid
+    sent = 0
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            procs[r] = 0  # until it is forked
+            try:
+                if not (pid := os.fork()):
+                    _serve(run, jobs, tasks, hand, w)
+                procs[r] = pid
+            finally:
+                os.close(w)
+        frames = [deque() for _ in jobs]  # each job's unread frames
+        for cur, queue in enumerate(frames):
+            while sent < min(cur + 4 * workers + 1, len(jobs)):
+                os.write(hand, sent.to_bytes(4, "little"))
+                sent += 1
+                if sent == len(jobs):
+                    os.close(hand)
+            while True:
+                while not queue:
+                    _receive(procs, frames)
+                items = marshal.loads(queue.popleft())
+                if items is None:
+                    break
+                if type(items) is bytes:
+                    import pickle
+
+                    raise pickle.loads(items)
+                yield from items
+    finally:
+        if sent < len(jobs):
+            os.close(hand)
+        os.close(tasks)
+        for r, pid in procs.items():
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(r)
+
+
 def parallel_count(max_order: int, workers: int = 1) -> list[int]:
     """count_open_levels with the tree split across worker processes.
 
     ``workers`` is capped at the CPUs this process may run on, with a notice
     on stderr.  The split sits at the first level holding at least 4x
-    workers nodes; output is identical to the sequential count for any
-    worker count.  One worker runs ``count_open_levels`` in process.  Every
-    seed is queued at once, so no worker idles while the in-order merge
-    waits on a large first seed.
+    workers nodes, and ``_pool`` counts below each seed in a forked worker;
+    output is identical to the sequential count for any worker count.  One
+    worker runs ``count_open_levels`` in process.
     """
     workers = _worker_count(workers)
     _require_order(max_order)
@@ -839,22 +970,18 @@ def parallel_count(max_order: int, workers: int = 1) -> list[int]:
     prefix, seeds = _split(max_order, workers)
     if len(prefix) == max_order:
         return prefix
-    # Imported here, so a one-worker command never loads multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
-
     tail = [0] * (max_order - len(prefix))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for res in pool.map(_count_below, [(seed, max_order) for seed, _ in seeds]):
-            tail = [a + b for a, b in zip(tail, res)]
+    jobs = [(seed, max_order) for seed, _ in seeds]
+    for res in _pool(lambda job: (_count_below(job),), jobs, workers):
+        tail = [a + b for a, b in zip(tail, res)]
     return prefix + tail
 
 
 def _enumerate_subtree(
     job: tuple[_Node, tuple[int, ...], int, bool],
-) -> list[tuple[int, ...]]:
+) -> Iterator[tuple[int, ...]]:
     seed, prefix, order, prune = job
-    cut = [0] if prune else None
-    return list(_leaves(seed, prefix, order, [0] * (2 * order + 1), cut))
+    return _leaves(seed, prefix, order, [0] * (2 * order + 1), [0] if prune else None)
 
 
 def parallel_leaves(
@@ -866,11 +993,12 @@ def parallel_leaves(
     docstring), so nothing here validates them.
 
     ``workers`` is capped as in ``parallel_count``, when the walk starts.
-    The stream is identical for any worker count; results are yielded
-    subtree by subtree in canonical seed order.  Closing the generator, or
-    an error in it, cancels the subtrees still pending and waits only for
-    those already handed to the worker processes.  One worker walks in
-    process.
+    The stream is identical for any worker count.  Each subtree runs in a
+    forked worker (``_pool``), whose leaves reach the reader in batches of
+    ``_FRAME`` as the subtree produces them, subtree by subtree in canonical
+    seed order.  Closing the generator, or an error in it, kills the worker
+    processes; subtrees not yet handed to them never start.  One worker
+    walks in process.
     """
     workers = _worker_count(workers)
     _require_order(order)
@@ -883,23 +1011,7 @@ def parallel_leaves(
     if workers == 1 or len(prefix) == 2 * order:
         yield from _leaves(_root(order), (), order, visits, cut)
         return
-
-    from concurrent.futures import ProcessPoolExecutor  # as in parallel_count
-
-    # At most 4x workers subtrees (the split's target) run ahead of the
-    # reader; if it stops, the rest are never submitted.
-    jobs = ((seed, ent, order, prune) for seed, ent in seeds)
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        window = deque(
-            pool.submit(_enumerate_subtree, job) for job in islice(jobs, 4 * workers)
-        )
-        while window:
-            leaves = window.popleft().result()
-            window.extend(pool.submit(_enumerate_subtree, job) for job in islice(jobs, 1))
-            yield from leaves
-    finally:
-        pool.shutdown(cancel_futures=True)
+    yield from _pool(_enumerate_subtree, [(seed, ent, order, prune) for seed, ent in seeds], workers)
 
 
 def parallel_enumerate(

@@ -4,8 +4,8 @@ arc-diagram renderer."""
 import hashlib
 import io
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_child_process
 from skolemgen import cli
 from skolemgen.core import Entry, InvalidSequenceError, SkolemSequence, parse_entries, parse_state
 from skolemgen.engine import enumerate_skolem
@@ -71,19 +72,24 @@ def test_count_open_resource_failure(monkeypatch, capsys):
     assert captured.err == "skolemgen: resource exhaustion: synthetic\n"
 
 
-def test_one_worker_never_imports_the_process_pool():
-    # The pool, and multiprocessing with it, load only when there are
-    # workers; dataclasses (with inspect, ast, dis and tokenize) and typing
-    # load never.  Each would add start-up time to every command.  -S keeps
-    # site hooks from loading any of them before the package does.
+def test_no_command_imports_a_process_pool_or_pickle():
+    # The worker pool forks its workers and sends marshal frames, so no
+    # command loads concurrent.futures, multiprocessing or pickle, nor
+    # dataclasses (with inspect, ast, dis and tokenize) or typing.  Each would
+    # add start-up time to every command.  -S keeps site hooks from loading
+    # any of them before the package does.  Two CPUs let the 2-worker
+    # commands start the pool on any host, which alone loads select.
     code = (
-        "import sys\n"
-        "heavy = {'dataclasses', 'inspect', 'typing', 'concurrent.futures', 'multiprocessing'}\n"
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "heavy = {'dataclasses', 'inspect', 'typing', 'concurrent.futures', 'multiprocessing', 'pickle'}\n"
         "import skolemgen.cli\n"
         "print(sorted(heavy & set(sys.modules)))\n"
-        "for argv in (['count-open', '--max-n', '5', '--workers', '1'], ['enumerate', '--order', '4'],\n"
+        "for argv in (['count-open', '--max-n', '5', '--workers', '1'], ['count-open', '--max-n', '5', '--workers', '2'],\n"
+        "             ['enumerate', '--order', '4'], ['enumerate', '--order', '5', '--workers', '2'],\n"
         "             ['verify'], ['sts', '--sequence', '1,1']):\n"
         "    print(skolemgen.cli.main(argv), sorted(heavy & set(sys.modules)), file=sys.stderr)\n"
+        "print('select' in sys.modules, file=sys.stderr)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], input="1,1\n", capture_output=True, text=True,
@@ -92,8 +98,9 @@ def test_one_worker_never_imports_the_process_pool():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[:6] == ["[]", "n=1 count=1", "n=2 count=2", "n=3 count=4", "n=4 count=8", "n=5 count=20"]
+    assert lines[6:11] == lines[1:6]
     assert "OK order=1" in lines and lines[-1] == "VERIFIED"
-    assert [line for line in proc.stderr.splitlines() if not line.startswith("skolemgen:")] == ["0 []"] * 4
+    assert [line for line in proc.stderr.splitlines() if not line.startswith("skolemgen:")] == ["0 []"] * 6 + ["True"]
 
 
 def test_count_open_resource_failure_in_a_worker(monkeypatch, capsys):
@@ -104,6 +111,34 @@ def test_count_open_resource_failure_in_a_worker(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "skolemgen: resource exhaustion: synthetic\n"
+    assert_no_child_process()
+
+
+_TEST_PID = os.getpid()
+
+
+def _killed(*args):
+    assert os.getpid() != _TEST_PID, "a worker's job ran in the test process"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("_count_below", ["count-open", "--max-n", "12", "--workers", "2"]),
+        ("_enumerate_subtree", ["enumerate", "--order", "9", "--workers", "2"]),
+    ],
+    ids=["count-open", "enumerate"],
+)
+def test_a_killed_worker_exits_3(monkeypatch, capsys, target, argv):
+    # forked workers inherit the patch, and each kills itself at its first job
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli.engine, target, _killed)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"skolemgen: resource exhaustion: worker process ended by signal {int(signal.SIGKILL)}\n"
+    assert_no_child_process()
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +759,7 @@ def test_an_order_too_large_to_walk_is_resource_exhaustion(capsys, command, orde
     assert captured.out == ""
     assert captured.err.startswith("skolemgen: resource exhaustion: ")
     assert captured.err.count("\n") == 1
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 @pytest.mark.parametrize(
@@ -749,6 +784,7 @@ def test_resource_exhaustion_exits_3_for_every_command(monkeypatch, capsys, targ
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "skolemgen: resource exhaustion: synthetic\n"
+    assert_no_child_process()
 
 
 def test_bare_memory_error_reads_out_of_memory(monkeypatch, capsys):
@@ -771,6 +807,10 @@ def test_worker_count_is_capped_at_available_cpus(monkeypatch, capsys):
     assert cli.engine._worker_count(2) == 2
     assert cli.engine._worker_count(1) == 1
     assert capsys.readouterr().err == ""
+    # the pool forks its workers, so without os.fork one worker walks in process
+    monkeypatch.delattr(os, "fork")
+    assert cli.engine._worker_count(2) == 1
+    assert capsys.readouterr().err == "skolemgen: 2 workers requested but 1 CPU(s) available; using 1\n"
 
 
 _CAPPED = "skolemgen: 3 workers requested but 1 CPU(s) available; using 1\n"
@@ -784,7 +824,7 @@ def test_capped_count_open_runs_one_worker_in_process(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == one_worker
     assert captured.err == _CAPPED
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 def test_capped_library_enumeration_runs_one_worker_in_process(monkeypatch, capsys):
@@ -793,7 +833,7 @@ def test_capped_library_enumeration_runs_one_worker_in_process(monkeypatch, caps
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert [s.values for s in cli.engine.parallel_enumerate(5, True, 3)] == one_worker
     assert capsys.readouterr().err == _CAPPED
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 soundness, parallel determinism, and resource-failure plumbing."""
 
 import hashlib
-import multiprocessing
+import os
 import sys
 import tracemalloc
 from collections import Counter
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_child_process
 from skolemgen import engine, oracle
 from skolemgen.core import (
     EMPTY_STATE,
@@ -516,18 +517,41 @@ def test_closing_parallel_enumeration_drops_unstarted_subtrees(
     assert getattr(first, "values", first) == next(enumerate_skolem(8)).values
     stream.close()
     ran = len((tmp_path / "jobs").read_text().splitlines())
-    # 4x workers subtrees submitted up front, and one more once the first is read
+    # jobs are handed out at most 4x workers past the one being read, the first
     assert 1 <= ran <= 4 * workers + 1 < seeds
+    assert_no_child_process()
 
 
 @STREAMS
 def test_parallel_runs_leave_no_worker_process(stream_of):
     assert parallel_count(12, 2) == OPEN_COUNTS_12
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     stream = stream_of(8, True, 2)
     next(stream)
     stream.close()
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
+
+
+def _subtree_logging_its_end(job, _run=engine._enumerate_subtree):
+    yield from _run(job)
+    with open(_JOB_LOG, "a") as fh:
+        fh.write(f"{job[0]}\n")
+
+
+def test_leaves_reach_the_reader_before_their_subtree_ends(monkeypatch, tmp_path):
+    # forked workers inherit both patches; the first of the 8 seeds holds
+    # about half of the order-12 walk
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys.modules[__name__], "_JOB_LOG", tmp_path / "ended")
+    monkeypatch.setattr(engine, "_enumerate_subtree", _subtree_logging_its_end)
+    (tmp_path / "ended").touch()
+    first_seed = engine._split(24, 2, 12, [0])[1][0][0]
+    stream = parallel_leaves(12, True, 2)
+    assert next(stream) == next(enumerate_skolem(12)).values
+    ended = (tmp_path / "ended").read_text().splitlines()
+    stream.close()
+    assert f"{first_seed}" not in ended
+    assert_no_child_process()
 
 
 def test_parallel_argument_errors():
