@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from skolemgen import core
+
 
 @pytest.fixture
 def eight_cpus(monkeypatch):
@@ -18,3 +20,23 @@ def assert_no_child_process():
     ``os.fork`` too, which ``multiprocessing.active_children()`` does not."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+NUMERALS_WARM = 1000  # a pre-grown table maps "1".."1000"
+
+
+@pytest.fixture
+def numerals():
+    """Save ``core._NUMERALS`` and restore it after the test.  The value is a
+    function that empties the table (``"cold"``) or grows it, through the
+    parser, to 1..``NUMERALS_WARM`` (``"warm"``)."""
+    saved = dict(core._NUMERALS)
+
+    def start(state):
+        core._NUMERALS.clear()
+        if state == "warm":
+            core.parse_entries(",".join(["1"] * 2 * NUMERALS_WARM))
+
+    yield start
+    core._NUMERALS.clear()
+    core._NUMERALS.update(saved)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_no_child_process
@@ -302,6 +303,63 @@ def test_sequence_with_an_over_long_token_is_invalid(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "skolemgen: invalid sequence: parse: over-long token of 5000 digits\n"
+
+
+def _corrupted(values, kind, rng):
+    """The text of ``values`` after one corruption of ``kind``."""
+    vals = list(values)
+    if kind == "swap":
+        i, j = rng.sample(range(len(vals)), 2)
+        vals[i], vals[j] = vals[j], vals[i]
+    elif kind == "bump":
+        vals[rng.randrange(len(vals))] += 1
+    elif kind == "drop":
+        del vals[rng.randrange(len(vals))]
+    tokens = list(map(str, vals))
+    extra = {"star": f"*{rng.randint(1, len(vals) // 2)}", "nondigit": rng.choice(["x", "3a", "#", "1.5"])}
+    if kind in extra:
+        tokens.insert(rng.randrange(len(tokens) + 1), extra[kind])
+    return ",".join(tokens)
+
+
+def _reference_verdict(line):
+    """``OK order=n``, ``FAIL`` plus the parse or open message, or ``FAIL``
+    alone for a parsed line the oracle rejects."""
+    try:
+        values = _reference_closed_values(line)
+    except InvalidSequenceError as exc:
+        return f"FAIL {exc}"
+    return f"OK order={len(values) // 2}" if oracle_validate(values) else "FAIL"
+
+
+def test_verify_matches_the_per_line_reference_at_benchmark_scale(tmp_path, capsys, numerals):
+    # the certify benchmark's input shape: orders 8..236 both ways round,
+    # a quarter of the lines corrupted, each kind as often
+    rng = random.Random(30)
+    valid = [_skolem_4s(order) for order in range(8, 237, 4)]
+    valid += [",".join(reversed(text.split(","))) for text in valid]
+    kinds = ["swap", "bump", "drop", "star", "nondigit"]
+    lines = list(valid)
+    for k, i in enumerate(range(0, len(lines), 4)):
+        lines[i] = _corrupted(map(int, lines[i].split(",")), kinds[k % len(kinds)], rng)
+    for name, texts, code in [("corrupted", lines, 5), ("valid", valid, 0)]:
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(text + "\n" for text in texts))
+        expected = [_reference_verdict(text) for text in texts]
+        for state in ("cold", "warm"):
+            numerals(state)
+            assert run(["verify", "--in", str(path)]) == code
+            # a bare FAIL is the oracle's: the line parsed, so verify names
+            # a Skolem condition, never the grammar
+            got = [
+                "FAIL" if verdict.startswith(("FAIL count", "FAIL gap", "FAIL length")) else verdict
+                for verdict in capsys.readouterr().out.splitlines()
+            ]
+            assert got == expected
+    # every order passes on some line, and every kind of verdict occurs
+    assert {verdict.split(":")[0] for verdict in map(_reference_verdict, lines)} == {
+        *(f"OK order={order}" for order in range(8, 237, 4)), "FAIL", "FAIL parse", "FAIL open",
+    }
 
 
 def test_enumerate_piped_into_verify(tmp_path, capsys):
@@ -877,25 +935,34 @@ def _outcome(parse, text):
 GRAMMAR_TOKENS = [
     "1", "3", "12", "0", "00", "01", " 3 ", "\t7", "", " ", "*3", "*1", "*0", "*01",
     "* 3", "**3", "*", "*x", "x", "3a", "1.5", "-1", "+2", "*+3", "1_0", "\u0663", "\u00b2",
-    "1 2", "#",
+    "1 2", "#", "10", "99", "236", "1000",
 ]
 
 
+# the fixture only saves and restores the table; each example sets its own
 @given(st.lists(st.sampled_from(GRAMMAR_TOKENS) | st.text(max_size=4), max_size=12))
-@settings(max_examples=500, deadline=None)
-def test_closed_values_matches_the_per_token_reference(tokens):
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_closed_values_matches_the_per_token_reference(numerals, tokens):
+    # an empty table sees only numerals up to 6 here; the warm one holds
+    # every numeral of GRAMMAR_TOKENS
     text = ",".join(tokens)
     expected = _outcome(_reference_closed_values, text)
-    assert _outcome(cli._closed_values, text) == expected
-    assert _outcome(lambda t: tuple(map(Entry, *parse_entries(t))), text) == _outcome(_reference_entries, text)
+    for state in ("cold", "warm"):
+        numerals(state)
+        assert _outcome(cli._closed_values, text) == expected
+        assert _outcome(lambda t: tuple(map(Entry, *parse_entries(t))), text) == _outcome(_reference_entries, text)
 
 
 @pytest.mark.parametrize("text", [
     "\u0663", "+2", "1_0", "0", "01", " 3 ", "", "3,,4", ",,", "*3", "3,*x", "*3,x", "*3,0", "*3,+2,*1",
-    "01,1", "1,", "1 ,1",
+    "01,1", "1,", "1 ,1", "1,01", "0,1", " 1,1", "1,1 ", "*1,1", "1,,1", "2,2", "1000,1001",
 ])
-def test_closed_values_named_cases(text):
-    assert _outcome(cli._closed_values, text) == _outcome(_reference_closed_values, text)
+def test_closed_values_named_cases(numerals, text):
+    # "2,2" holds a value one past what it grows an empty table to, and
+    # "1000,1001" one past the warm table
+    for state in ("cold", "warm"):
+        numerals(state)
+        assert _outcome(cli._closed_values, text) == _outcome(_reference_closed_values, text)
 
 
 @pytest.mark.parametrize("head", ["0", "+2", "*1", "1"])
@@ -907,15 +974,19 @@ def test_a_body_past_the_int_digit_limit_keeps_the_first_error(head):
 
 
 @pytest.mark.parametrize("limit", [None, 0], ids=["default limit", "no limit"])
-def test_a_5000_digit_body_follows_the_int_digit_limit(limit):
-    # a plain digit line past int()'s limit leaves the one-pass path, and the
-    # token walk names it; with the limit lifted the one-pass path takes it
+def test_a_5000_digit_body_follows_the_int_digit_limit(numerals, limit):
+    # no table holds a 5,000-digit numeral, so the general scanner takes the
+    # line: past int()'s limit its token walk names the body, and with the
+    # limit lifted its one-pass path takes it
     text = "1" * 5000 + ",1"
     saved = sys.get_int_max_str_digits()
     try:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-        got = _outcome(cli._closed_values, text)
+        got = []
+        for state in ("cold", "warm"):
+            numerals(state)
+            got.append(_outcome(cli._closed_values, text))
         expected = (
             ("InvalidSequenceError", "parse: over-long token of 5000 digits")
             if limit is None
@@ -923,4 +994,4 @@ def test_a_5000_digit_body_follows_the_int_digit_limit(limit):
         )
     finally:
         sys.set_int_max_str_digits(saved)
-    assert got == expected
+    assert got == [expected, expected]

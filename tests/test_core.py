@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skolemgen import core
 from skolemgen.core import (
     EMPTY_STATE,
     Entry,
@@ -173,6 +174,34 @@ def test_parse_follows_the_interpreter_digit_limit():
         assert parse_entries("1" * 5000 + ",1") == ([int("1" * 5000), 1], [False, False])
     finally:
         sys.set_int_max_str_digits(default)
+
+
+def test_the_numeral_table_covers_half_the_longest_text_parsed(numerals):
+    # after a text of L tokens the table maps str(k) -> k for k up to
+    # ceil(L/2) of the longest text so far, and holds nothing else
+    numerals("cold")
+    longest = 0
+    for text in ["1,1", "", "*3,1,1", "1," * 9, "4,2,3,2,4,3,1,1", "x,y,z", "1,1,1,1,1,1,1", "1000,1000"]:
+        try:
+            parse_entries(text)
+        except InvalidSequenceError:
+            pass
+        longest = max(longest, (text.count(",") + 2) // 2)
+        assert core._NUMERALS == {str(k): k for k in range(1, longest + 1)}
+        assert all(type(v) is int for v in core._NUMERALS.values())
+
+
+@pytest.mark.parametrize("state, text, values", [
+    ("cold", "2,2", [2, 2]),  # a 2-token text grows the table to "1" only
+    ("cold", "1,1,3,3", [1, 1, 3, 3]),
+    ("warm", "1000,1001", [1000, 1001]),
+    ("warm", "1001,1001", [1001, 1001]),
+])
+def test_a_value_past_the_tables_reach_goes_to_the_general_scanner(numerals, state, text, values):
+    numerals(state)
+    before = len(core._NUMERALS)
+    assert parse_entries(text) == (values, [False] * len(values))
+    assert len(core._NUMERALS) == max(before, (len(values) + 1) // 2)
 
 
 def test_state_parse_rejects_bad_invariants():

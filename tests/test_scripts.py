@@ -1,6 +1,7 @@
 """Smoke tests of the scripts in ``scripts/``: each runs at a tiny size and
 exits 0, also when the reader of its stdout has gone away."""
 
+import json
 import os
 import subprocess
 import sys
@@ -14,13 +15,57 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(skolemgen.__file__).resolve().parents[1]
 
 
+# A stand-in for benchmarks/run.py: its figures follow from the seed and a
+# per-copy scale, so the aggregation over them is known exactly.
+STUB_RUN = """import argparse, json, pathlib
+root = pathlib.Path(__file__).resolve().parent.parent
+ap = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    ap.add_argument(flag)
+a = ap.parse_args()
+seed = int(a.seed)
+k = json.loads((root / "scale.json").read_text())[a.seed]
+out = root / ".bench_out"
+out.mkdir(exist_ok=True)
+env = {"src_sha256": root.name, "python": "3", "nproc": 2, "cpu_model": "stub", "git_sha": None}
+walls = {"verify": [k * seed, 3 * k * seed, 2 * k * seed], "sts0": [0.5]}
+(out / f"result-{a.workload}-seed{seed}-trace{a.trace}.json").write_text(
+    json.dumps({"env": env, "result": {"command_wall_s": walls}}))
+print("env", json.dumps(env))
+print(json.dumps({"correct": True, "attempted": seed, "failed": 0, "metrics": {
+    "wall_s": {"value": k * seed, "unit": "s"}, "rate_per_s": {"value": seed / k, "unit": "1/s"}}}))
+"""
+STUB_BENCHMARK = {
+    "workloads": [{"name": "certify"}, {"name": "count"}],
+    "end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24},
+        {"name": "rate_per_s", "unit": "1/s", "better": "higher", "bound": 0.24},
+    ],
+}
+STUB_SCALES = {"parent": {"1": 1.0, "2": 1.0, "3": 1.0}, "change": {"1": 0.5, "2": 2.0, "3": 0.5}}
+
+
+def _bench_copies(tmp_path):
+    """Two copies holding the stub benchmark; the arguments that compare them."""
+    for side, scales in STUB_SCALES.items():
+        (tmp_path / side / "benchmarks").mkdir(parents=True, exist_ok=True)
+        (tmp_path / side / "benchmarks" / "run.py").write_text(STUB_RUN)
+        (tmp_path / side / "scale.json").write_text(json.dumps(scales))
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(STUB_BENCHMARK))
+    return [
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--out", str(tmp_path / "BENCH.json"), "--seconds", "0", "--seeds", "1", "2", "3",
+    ]
+
+
 def _argv(name, tmp_path):
     args = {
-        "open_level_growth.py": ["--max-n", "6"],
-        "search_space_report.py": ["--order", "4"],
-        "render_gallery.py": ["--order", "4", "--out-dir", str(tmp_path / "gallery")],
-        "code_lines.py": [],
-    }[name]
+        "open_level_growth.py": lambda: ["--max-n", "6"],
+        "search_space_report.py": lambda: ["--order", "4"],
+        "render_gallery.py": lambda: ["--order", "4", "--out-dir", str(tmp_path / "gallery")],
+        "code_lines.py": lambda: [],
+        "bench_pairs.py": lambda: [*_bench_copies(tmp_path), "--workloads", "certify"],
+    }[name]()
     return [sys.executable, str(ROOT / "scripts" / name), *args]
 
 
@@ -30,7 +75,7 @@ def _env(**extra):
     return env
 
 
-SCRIPTS = ["open_level_growth.py", "search_space_report.py", "render_gallery.py", "code_lines.py"]
+SCRIPTS = ["open_level_growth.py", "search_space_report.py", "render_gallery.py", "code_lines.py", "bench_pairs.py"]
 
 
 @pytest.mark.parametrize("name", SCRIPTS)
@@ -123,3 +168,54 @@ def test_code_lines_counts_a_fixture_exactly(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == f"     9 {path}\n     9 total\n"
+
+
+def test_bench_pairs_aggregates_alternating_pairs(tmp_path):
+    # the stub's figures: parent wall_s 1, 2, 3 and change 0.5, 4, 1.5 over
+    # seeds 1..3, rate_per_s the seed over the scale, verify's median wall
+    # time twice wall_s
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), *_bench_copies(tmp_path)],
+        capture_output=True, text=True, env=_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads((tmp_path / "BENCH.json").read_text())
+    assert list(report) == ["description", "host", "src_sha256", "workloads"]
+    assert report["src_sha256"] == {"parent": "parent", "change": "change"}
+    assert list(report["workloads"]) == ["certify", "count"]
+    entry = report["workloads"]["certify"]
+    assert entry["first_in_pair"] == ["parent", "change", "parent"]
+    assert entry["correct"] == {"parent": True, "change": True}
+    assert entry["attempted"] == {"parent": 6, "change": 6}
+    assert entry["metrics"]["wall_s"] == {
+        "unit": "s", "better": "lower", "bound": 0.24,
+        "parent": {"median": 2.0, "q1": 1.5, "q3": 2.5},
+        "change": {"median": 1.5, "q1": 1.0, "q3": 2.75},
+        "change_vs_parent_median": -0.25, "pairs_change_better": 2, "pairs": 3,
+        "parent_runs": [1.0, 2.0, 3.0], "change_runs": [0.5, 4.0, 1.5],
+    }
+    rate = entry["metrics"]["rate_per_s"]
+    assert (rate["parent_runs"], rate["change_runs"], rate["pairs_change_better"]) == ([1, 2, 3], [2, 1, 6], 2)
+    verify = entry["command_wall_s"]["verify"]
+    assert (verify["parent"]["median"], verify["change"]["median"], verify["pairs_change_better"]) == (4.0, 3.0, 2)
+    assert entry["command_wall_s"]["sts0"]["pairs_change_better"] == 0  # ties count for neither
+    # one line per run, in alternating order, then one row per metric and command
+    runs = [line.split(":")[0] for line in proc.stdout.splitlines()[:12]]
+    assert runs[:6] == [
+        "certify seed 1 parent", "certify seed 1 change", "certify seed 2 change",
+        "certify seed 2 parent", "certify seed 3 parent", "certify seed 3 change",
+    ]
+    assert len(proc.stdout.splitlines()) == 12 + 2 * 4
+
+
+def test_bench_pairs_stops_on_a_failed_run(tmp_path):
+    argv = _bench_copies(tmp_path)
+    (tmp_path / "change" / "benchmarks" / "run.py").write_text("import sys\nsys.exit('no package')\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), *argv],
+        capture_output=True, text=True, env=_env(), timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("bench_pairs: benchmarks/run.py --workload certify --seed 1 ")
+    assert proc.stderr.endswith("exited 1: no package\n")
+    assert not (tmp_path / "BENCH.json").exists()
