@@ -2,15 +2,18 @@
 and write the comparison in the schema of the ``BENCH_<pr>.json`` files.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \\
-        --seconds 30 --seeds 3001 3002 ... [--workloads enumerate count certify] [--note TEXT]
+        --seconds 30 --seeds 3001 3002 ...
 
-For each workload in the order given, and for each seed, it runs
+For each workload of the change's ``BENCHMARK.json`` that the parent's also
+lists, in the change's order, and for each seed, it runs
 ``python3 benchmarks/run.py --workload W --seed S --seconds T --trace 0`` in
 the parent's copy and in the change's: the parent first for the first seed,
 then each side first in turn.  A run's end-to-end metrics are the ones in the
 JSON line its stdout ends with, and its per-command wall times are the
 ``command_wall_s`` of the record it writes to ``.bench_out/``.  The metrics'
 units, directions and bounds come from the change's ``BENCHMARK.json``.
+Only what both sides have is compared: a workload one copy lists, or a
+metric or command that some run lacks, is named under ``unpaired``.
 
 The output holds, per workload and metric, each side's median and inclusive
 quartiles over the pairs, every run's value, the change's median relative to
@@ -67,6 +70,12 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     return json.loads(done.stdout.splitlines()[-1]), json.loads(record.read_text())
 
 
+def paired(names: list) -> tuple[set, list]:
+    """The names in every one of ``names``' collections, and the sorted rest."""
+    both = set.intersection(*map(set, names))
+    return both, sorted(set().union(*names) - both)
+
+
 def aggregate(workload: str, seeds: list[int], seconds: float, metrics: list[dict], runs: dict) -> dict:
     """One workload's entry; ``runs[side]`` lists (result, record) per seed."""
     results = {side: [result for result, _ in runs[side]] for side in SIDES}
@@ -74,6 +83,8 @@ def aggregate(workload: str, seeds: list[int], seconds: float, metrics: list[dic
         side: [{cmd: statistics.median(w) for cmd, w in record["result"]["command_wall_s"].items()} for _, record in runs[side]]
         for side in SIDES
     }
+    both, unpaired_metrics = paired([[m["name"] for m in metrics], *(r["metrics"] for side in SIDES for r in results[side])])
+    commands, unpaired_commands = paired([w for side in SIDES for w in walls[side]])
     return {
         "seeds": seeds,
         "first_in_pair": [SIDES[i % 2] for i in range(len(seeds))],
@@ -86,12 +97,13 @@ def aggregate(workload: str, seeds: list[int], seconds: float, metrics: list[dic
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"],
                 **compare(*([r["metrics"][m["name"]]["value"] for r in results[side]] for side in SIDES), m["better"]),
             }
-            for m in metrics
+            for m in metrics if m["name"] in both
         },
         "command_wall_s": {
             cmd: {"unit": "s", "better": "lower", **compare(*([w[cmd] for w in walls[side]] for side in SIDES), "lower")}
-            for cmd in walls["parent"][0]
+            for cmd in walls["change"][0] if cmd in commands
         },
+        "unpaired": unpaired_metrics + unpaired_commands,
     }
 
 
@@ -102,14 +114,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write, e.g. BENCH_30.json")
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed, at least two")
-    parser.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
-    parser.add_argument("--note", default="", help="appended to the description, e.g. the claim")
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("--seeds needs at least two seeds for quartiles")
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = {side: json.loads((roots[side] / "BENCHMARK.json").read_text()) for side in SIDES}
+    listed = {side: [w["name"] for w in bench[side]["workloads"]] for side in SIDES}
+    workloads = [w for w in listed["change"] if w in listed["parent"]]
+    unpaired_workloads = paired(listed.values())[1]
 
     host, src_sha256, entries = {}, {}, {}
     for workload in workloads:
@@ -122,16 +134,19 @@ def main(argv=None) -> int:
                 src_sha256[side] = record["env"]["src_sha256"]
                 values = " ".join(f"{m}={v['value']:.6g}" for m, v in result["metrics"].items())
                 print(f"{workload} seed {seed} {side}: correct={result['correct']} {values}", flush=True)
-        entries[workload] = aggregate(workload, args.seeds, args.seconds, bench["end_to_end"], runs)
+        entries[workload] = aggregate(workload, args.seeds, args.seconds, bench["change"]["end_to_end"], runs)
     description = (
         f"End-to-end metrics of benchmarks/run.py (--trace 0, --seconds {args.seconds:g}), the parent's copy "
         f"against the change's, in alternating pairs (first_in_pair says which side ran first), one pair "
         f"per seed, workloads in the order {', '.join(workloads)}. Medians and quartiles "
         f"(inclusive method) are over the pairs; each run's value is the one in its result line. "
         f"command_wall_s holds each command's median wall time within a run. src_sha256 is the benchmark's "
-        f"hash of each copy's src/. Written by scripts/bench_pairs.py. {args.note}"
+        f"hash of each copy's src/. unpaired names what only some copies or runs have. Written by scripts/bench_pairs.py."
     )
-    report = {"description": description.strip(), "host": host, "src_sha256": src_sha256, "workloads": entries}
+    report = {
+        "description": description, "host": host, "src_sha256": src_sha256,
+        "unpaired_workloads": unpaired_workloads, "workloads": entries,
+    }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
 
     for workload, entry in entries.items():

@@ -315,25 +315,27 @@ def parse_entries(text: str) -> tuple[list[int], list[bool]]:
     ``parse_state`` builds the entries from this.  It is the one scanner of
     the grammar.
 
-    A text of L tokens is first looked up token by token in ``_NUMERALS``,
-    which maps ``str(k)`` to k.  The table starts empty and grows on demand
-    to 1..ceil(L/2), every value a sequence of L entries can hold, so it
-    never holds more than that for the longest text parsed so far.  A text
-    in the form every sequence is printed in, closed values in canonical
-    ASCII digits and nothing else, is then done: one C-level dict lookup
-    per token, about 30 ns, against about 93 ns for ``int(str)`` (a median
-    token of the ``certify`` benchmark's lines, 2 vCPUs, Python 3.11).  A
-    token outside the table (``*k``, whitespace, leading zeros, a larger
-    value, anything else) raises ``KeyError`` and leaves the whole text to
-    the general scanner below, which gives the same values for what it
-    accepts.  That scanner also checks an accepted text by C-level string
-    and ``map`` calls, with no Python code per token; only a rejected text
-    is walked token by token, to name the first bad token.
+    A text is first looked up token by token in ``_NUMERALS``, which maps
+    ``str(k)`` to k for k = 1..len(_NUMERALS).  A text in the form every
+    sequence is printed in, closed values in canonical ASCII digits and
+    nothing else, is then done: one C-level dict lookup per token, about
+    30 ns, against about 93 ns for ``int(str)`` (a median token of the
+    ``certify`` benchmark's lines, 2 vCPUs, Python 3.11).  A token outside
+    the table (``*k``, whitespace, leading zeros, a larger value, anything
+    else) raises ``KeyError`` and leaves the whole text to the general
+    scanner below, which gives the same values for what it accepts.  That
+    scanner also checks an accepted text by C-level string and ``map``
+    calls, with no Python code per token; only a rejected text is walked
+    token by token, to name the first bad token.
+
+    The table starts empty and grows only from a text the general scanner
+    accepts with no open token: for L tokens, to its largest value but not
+    past ceil(L/2), the largest value a sequence of L entries can hold.  So
+    it never holds more than ceil(L/2) entries for the longest accepted
+    text, a rejected text never grows it, and the first line of a new
+    largest order is scanned in general once.
     """
     tokens = text.split(",")
-    reach = (len(tokens) + 1) // 2
-    if len(_NUMERALS) < reach:
-        _NUMERALS.update({str(k): k for k in range(len(_NUMERALS) + 1, reach + 1)})
     try:
         return list(map(_NUMERALS.__getitem__, tokens)), [False] * len(tokens)
     except KeyError:  # some token is not in the table: scan the text in general
@@ -364,6 +366,10 @@ def parse_entries(text: str) -> tuple[list[int], list[bool]]:
                 raise InvalidSequenceError(f"parse: over-long token of {len(body)} digits")
             if int(body) < 1:
                 raise InvalidSequenceError(f"parse: non-positive value in token {tok!r}")
+    top = min(max(values), (len(values) + 1) // 2)
+    if len(_NUMERALS) < top and not any(opens):
+        grown = range(len(_NUMERALS) + 1, top + 1)
+        _NUMERALS.update(zip(map(str, grown), grown))
     return values, opens
 
 

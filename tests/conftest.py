@@ -35,7 +35,8 @@ def numerals():
     def start(state):
         core._NUMERALS.clear()
         if state == "warm":
-            core.parse_entries(",".join(["1"] * 2 * NUMERALS_WARM))
+            core.parse_entries(",".join([*map(str, range(1, NUMERALS_WARM + 1))] * 2))
+            assert len(core._NUMERALS) == NUMERALS_WARM
 
     yield start
     core._NUMERALS.clear()

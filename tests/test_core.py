@@ -176,18 +176,34 @@ def test_parse_follows_the_interpreter_digit_limit():
         sys.set_int_max_str_digits(default)
 
 
-def test_the_numeral_table_covers_half_the_longest_text_parsed(numerals):
-    # after a text of L tokens the table maps str(k) -> k for k up to
-    # ceil(L/2) of the longest text so far, and holds nothing else
-    numerals("cold")
-    longest = 0
-    for text in ["1,1", "", "*3,1,1", "1," * 9, "4,2,3,2,4,3,1,1", "x,y,z", "1,1,1,1,1,1,1", "1000,1000"]:
+@pytest.mark.parametrize("state", ["cold", "warm"])
+def test_the_numeral_table_grows_only_from_an_accepted_closed_text(numerals, state):
+    # an accepted text of L tokens with no open token grows the table to its
+    # largest value but not past ceil(L/2); a rejected text, or one with an
+    # open token, leaves it as it is; it maps exactly str(k) -> k
+    numerals(state)
+    size = len(core._NUMERALS)
+    for text, top in [
+        ("," * 100_000, 0),  # many empty tokens: rejected
+        ("1," * 9, 0),
+        ("x,y,z", 0),
+        ("1,1,1", 1),
+        ("", 0),
+        ("*3,1,1", 0),
+        ("1,1,3,3", 2),  # 3 is past ceil(4/2)
+        ("4,2,3,2,4,3,1,1", 4),
+        ("1,1,1,1,1,1,1", 1),
+        ("1000,1000", 1),
+        (",".join(["9"] * 40), 9),
+        ("01,1", 1),
+        ("7,7,7,0", 0),
+    ]:
         try:
             parse_entries(text)
         except InvalidSequenceError:
             pass
-        longest = max(longest, (text.count(",") + 2) // 2)
-        assert core._NUMERALS == {str(k): k for k in range(1, longest + 1)}
+        size = max(size, top)
+        assert core._NUMERALS == {str(k): k for k in range(1, size + 1)}, text
         assert all(type(v) is int for v in core._NUMERALS.values())
 
 
@@ -201,7 +217,7 @@ def test_a_value_past_the_tables_reach_goes_to_the_general_scanner(numerals, sta
     numerals(state)
     before = len(core._NUMERALS)
     assert parse_entries(text) == (values, [False] * len(values))
-    assert len(core._NUMERALS) == max(before, (len(values) + 1) // 2)
+    assert len(core._NUMERALS) == max(before, min(max(values), (len(values) + 1) // 2))
 
 
 def test_state_parse_rejects_bad_invariants():

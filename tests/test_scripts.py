@@ -64,7 +64,7 @@ def _argv(name, tmp_path):
         "search_space_report.py": lambda: ["--order", "4"],
         "render_gallery.py": lambda: ["--order", "4", "--out-dir", str(tmp_path / "gallery")],
         "code_lines.py": lambda: [],
-        "bench_pairs.py": lambda: [*_bench_copies(tmp_path), "--workloads", "certify"],
+        "bench_pairs.py": lambda: _bench_copies(tmp_path),
     }[name]()
     return [sys.executable, str(ROOT / "scripts" / name), *args]
 
@@ -180,10 +180,12 @@ def test_bench_pairs_aggregates_alternating_pairs(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     report = json.loads((tmp_path / "BENCH.json").read_text())
-    assert list(report) == ["description", "host", "src_sha256", "workloads"]
+    assert list(report) == ["description", "host", "src_sha256", "unpaired_workloads", "workloads"]
     assert report["src_sha256"] == {"parent": "parent", "change": "change"}
+    assert report["unpaired_workloads"] == []
     assert list(report["workloads"]) == ["certify", "count"]
     entry = report["workloads"]["certify"]
+    assert entry["unpaired"] == []
     assert entry["first_in_pair"] == ["parent", "change", "parent"]
     assert entry["correct"] == {"parent": True, "change": True}
     assert entry["attempted"] == {"parent": 6, "change": 6}
@@ -206,6 +208,34 @@ def test_bench_pairs_aggregates_alternating_pairs(tmp_path):
         "certify seed 2 parent", "certify seed 3 parent", "certify seed 3 change",
     ]
     assert len(proc.stdout.splitlines()) == 12 + 2 * 4
+
+
+def test_bench_pairs_compares_only_what_both_copies_have(tmp_path):
+    # the change lists one more workload and metric, and times one more
+    # command: each is named unpaired and the rest compared as usual
+    argv = _bench_copies(tmp_path)
+    change = tmp_path / "change"
+    (change / "benchmarks" / "run.py").write_text(
+        STUB_RUN.replace('"sts0": [0.5]', '"sts0": [0.5], "sts1": [0.25]')
+        .replace('"metrics": {', '"metrics": {"setup_s": {"value": 0.1, "unit": "s"}, ')
+    )
+    bench = json.loads((change / "BENCHMARK.json").read_text())
+    bench["workloads"].append({"name": "sts"})
+    bench["end_to_end"].append({"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25})
+    (change / "BENCHMARK.json").write_text(json.dumps(bench))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), *argv],
+        capture_output=True, text=True, env=_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads((tmp_path / "BENCH.json").read_text())
+    assert report["unpaired_workloads"] == ["sts"]
+    assert list(report["workloads"]) == ["certify", "count"]
+    for entry in report["workloads"].values():
+        assert entry["unpaired"] == ["setup_s", "sts1"]
+        assert list(entry["metrics"]) == ["wall_s", "rate_per_s"]
+        assert list(entry["command_wall_s"]) == ["verify", "sts0"]
+        assert entry["metrics"]["wall_s"]["change_runs"] == [0.5, 4.0, 1.5]
 
 
 def test_bench_pairs_stops_on_a_failed_run(tmp_path):
