@@ -18,9 +18,15 @@ metric or command that some run lacks, is named under ``unpaired``.
 The output holds, per workload and metric, each side's median and inclusive
 quartiles over the pairs, every run's value, the change's median relative to
 the parent's, and the number of pairs in which the change did better (a tie
-counts for neither side).  Under ``command_wall_s`` it holds the same for
-each command's median wall time within a run, so a saving shows in the
-command that made it.  stdout gets one line per run and then a table.
+counts for neither side).  Under ``ratio`` it holds the change/parent ratio
+of each pair's values: their median, inclusive quartiles and the number of
+pairs below and above 1.  Two runs of a pair are minutes closer than runs of
+one side, so the ratios swing less with the host's speed than either side's
+runs do.  Under ``command_wall_s`` it holds the same for each command's
+median wall time within a run, so a saving shows in the command that made
+it.  The file is written again after every pair, with ``complete`` false
+until the last, so a run that fails late keeps the pairs before it.  stdout
+gets one line per run and then a table.
 """
 
 from __future__ import annotations
@@ -38,9 +44,17 @@ SIDES = ("parent", "change")
 
 
 def summary(runs: list[float]) -> dict:
-    """Median and inclusive quartiles of ``runs``."""
-    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    """Median and inclusive quartiles of ``runs``; all three are the value
+    of a single run."""
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def ratios(parent_runs: list[float], change_runs: list[float]) -> dict:
+    """``summary`` of the change/parent ratio of each pair, and the number of
+    pairs whose ratio is below and above 1."""
+    r = [c / p for p, c in zip(parent_runs, change_runs)]
+    return {**summary(r), "below_1": sum(x < 1 for x in r), "above_1": sum(x > 1 for x in r)}
 
 
 def compare(parent_runs: list[float], change_runs: list[float], better: str) -> dict:
@@ -54,6 +68,7 @@ def compare(parent_runs: list[float], change_runs: list[float], better: str) -> 
         "change_vs_parent_median": change["median"] / parent["median"] - 1,
         "pairs_change_better": sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs)),
         "pairs": len(parent_runs),
+        "ratio": ratios(parent_runs, change_runs),
         "parent_runs": parent_runs,
         "change_runs": change_runs,
     }
@@ -123,7 +138,16 @@ def main(argv=None) -> int:
     workloads = [w for w in listed["change"] if w in listed["parent"]]
     unpaired_workloads = paired(listed.values())[1]
 
-    host, src_sha256, entries = {}, {}, {}
+    host, src_sha256, entries, pairs_run = {}, {}, {}, 0
+    description = (
+        f"End-to-end metrics of benchmarks/run.py (--trace 0, --seconds {args.seconds:g}), the parent's copy "
+        f"against the change's, in alternating pairs (first_in_pair says which side ran first), one pair "
+        f"per seed, workloads in the order {', '.join(workloads)}. Medians and quartiles "
+        f"(inclusive method) are over the pairs; each run's value is the one in its result line. ratio "
+        f"summarises each pair's change/parent ratio. command_wall_s holds each command's median wall time "
+        f"within a run. src_sha256 is the benchmark's hash of each copy's src/. unpaired names what only "
+        f"some copies or runs have. complete is false while pairs remain to run. Written by scripts/bench_pairs.py."
+    )
     for workload in workloads:
         runs = {side: [] for side in SIDES}
         for i, seed in enumerate(args.seeds):
@@ -134,29 +158,24 @@ def main(argv=None) -> int:
                 src_sha256[side] = record["env"]["src_sha256"]
                 values = " ".join(f"{m}={v['value']:.6g}" for m, v in result["metrics"].items())
                 print(f"{workload} seed {seed} {side}: correct={result['correct']} {values}", flush=True)
-        entries[workload] = aggregate(workload, args.seeds, args.seconds, bench["change"]["end_to_end"], runs)
-    description = (
-        f"End-to-end metrics of benchmarks/run.py (--trace 0, --seconds {args.seconds:g}), the parent's copy "
-        f"against the change's, in alternating pairs (first_in_pair says which side ran first), one pair "
-        f"per seed, workloads in the order {', '.join(workloads)}. Medians and quartiles "
-        f"(inclusive method) are over the pairs; each run's value is the one in its result line. "
-        f"command_wall_s holds each command's median wall time within a run. src_sha256 is the benchmark's "
-        f"hash of each copy's src/. unpaired names what only some copies or runs have. Written by scripts/bench_pairs.py."
-    )
-    report = {
-        "description": description, "host": host, "src_sha256": src_sha256,
-        "unpaired_workloads": unpaired_workloads, "workloads": entries,
-    }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+            pairs_run += 1
+            entries[workload] = aggregate(workload, args.seeds[: i + 1], args.seconds, bench["change"]["end_to_end"], runs)
+            report = {
+                "description": description, "host": host, "src_sha256": src_sha256,
+                "complete": pairs_run == len(workloads) * len(args.seeds),
+                "unpaired_workloads": unpaired_workloads, "workloads": entries,
+            }
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
 
     for workload, entry in entries.items():
         rows = [*entry["metrics"].items(), *((f"{cmd} wall_s", c) for cmd, c in entry["command_wall_s"].items())]
         for name, c in rows:
-            p, q = c["parent"], c["change"]
+            p, q, r = c["parent"], c["change"], c["ratio"]
             print(
                 f"{workload:<10} {name:<16} parent {p['median']:<11.6g} IQR {p['q3'] - p['q1']:<10.3g} "
                 f"change {q['median']:<11.6g} {c['change_vs_parent_median']:+7.1%}  "
-                f"better in {c['pairs_change_better']}/{c['pairs']}"
+                f"better in {c['pairs_change_better']}/{c['pairs']}  "
+                f"ratio {r['median']:.4f} [{r['q1']:.4f}, {r['q3']:.4f}] {r['below_1']}<1<{r['above_1']}"
             )
     return 0
 

@@ -26,17 +26,22 @@ without a walk.  ``sts.write_sts`` prints its system one
 translate at a time and certifies it from the base blocks' differences, so
 neither a list of the v*n blocks nor a v*v pair cover is built.
 ``count-open`` and ``enumerate`` pass --workers (default 1) straight to
-``engine.parallel_count`` and ``engine.parallel_leaves``, which check it
+``engine.parallel_count`` and ``engine.leaf_frames``, which check it
 and cap it at the CPUs this process may run on; at one worker these run in
 process, and the output is byte-identical for any count.  ``enumerate``
-prints each leaf's value tuple through one ``%`` format per run and builds
-no object per leaf: a leaf of the walk is a Skolem sequence by construction
-(see ``engine``).
+takes the leaves in frames, flat lists of the values of k leaves, and
+prints each frame with one ``%`` format of k lines and one write; it builds
+no object per leaf, as a leaf of the walk is a Skolem sequence by
+construction (see ``engine``).  k is the fewest leaves whose text fills
+stdout's buffer (``io.DEFAULT_BUFFER_SIZE``), so each frame goes on to the
+file at once.  The first frame holds one leaf, so output reaches a reader
+no later than line by line, also on an unbuffered stdout (``python -u``).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from contextlib import nullcontext
@@ -107,14 +112,20 @@ def cmd_count_open(args) -> int:
 
 def cmd_enumerate(args) -> int:
     # The line shape is OutputRecord's, with a %d field in place of each value.
-    record = OutputRecord(",".join(["%d"] * 2 * args.order), args.order)
+    width = 2 * args.order
+    record = OutputRecord(",".join(["%d"] * width), args.order)
     line = (record.ndjson() if args.format == "ndjson" else record.payload) + "\n"
+    # Every leaf holds each of 1..N twice, so every line has the same length.
+    # A frame of k leaves is the fewest whose text fills stdout's buffer.
+    size = -(-io.DEFAULT_BUFFER_SIZE // len(line % (tuple(range(1, args.order + 1)) * 2)))
+    frame_line = line * size
     count = 0
     with _output(args.out) as out:
         write = out.write
-        for vals in engine.parallel_leaves(args.order, args.prune, args.workers):
-            write(line % vals)
-            count += 1
+        for frame in engine.leaf_frames(args.order, args.prune, args.workers, size):
+            k = len(frame) // width
+            write((frame_line if k == size else line * k) % tuple(frame))
+            count += k
         out.flush()
     note(f"skolemgen: {count} sequence(s) of order {args.order}")
     return EXIT_OK

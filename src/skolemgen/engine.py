@@ -27,11 +27,13 @@ lengths 1..N; since n = 2 popcount(U) + p with p open arcs, U is exactly
 {1..N} and no arc is open.  Every position is the start or the end of one
 arc, and closing ``*j`` wrote ``ent[n-1] = ent[n-1-j] = j``, both ends of
 that arc and no other position, once for each length j.  So the buffer
-holds each of 1..N exactly twice, at gap j.  ``parallel_leaves`` yields
-these values as plain tuples, and ``skolemgen enumerate`` prints them as
-they are.  ``enumerate_skolem`` and ``parallel_enumerate`` build each leaf
-as a ``SkolemSequence``, which validates it again, as it validates every
-sequence that does not come from the walk.
+holds each of 1..N exactly twice, at gap j.  ``leaf_frames`` passes these
+values on in frames, flat lists of a given number of leaves, and
+``skolemgen enumerate`` prints them as they are; ``parallel_leaves`` yields
+them one plain tuple at a time.  ``enumerate_skolem`` and
+``parallel_enumerate`` build each leaf as a ``SkolemSequence``, which
+validates it again, as it validates every sequence that does not come from
+the walk.
 
 A node's state fixes how many children it has: the opener plus one closer
 per open value whose length is unused, ``1 + |C|`` with C = O & ~U and |X|
@@ -250,7 +252,7 @@ MERGE_CAP = 1 << 17
 # and 1,800 at K = 16.  Batches of 512 and 1024 nodes were up to 4% faster
 # and took up to 1.3 MiB more peak RSS at K = 18 (2 vCPUs, Python 3.11.7).
 _BATCH = 256
-# A worker sends a subtree's leaves to the reader this many at a time.
+# Forked workers send ``parallel_leaves`` this many leaves to a frame.
 _FRAME = 256
 
 # A node as the walk holds it, (n, O, U, j, T, low, lo): j > 0 when the node
@@ -769,12 +771,25 @@ def _leaves(
     visits: list[int],
     cut: list[int] | None,
     merged: list[int] | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Values of every Skolem leaf below ``seed``, whose entries are
-    ``prefix``, in canonical order; ``cut`` and ``merged`` as for ``_walk``."""
+    size: int = 1,
+) -> Iterator[list[int]]:
+    """The Skolem leaves below ``seed``, whose entries are ``prefix``, in
+    canonical order, as frames: flat lists of leaves' values, one leaf after
+    another.  The first frame holds one leaf, so the first leaf waits for no
+    other; each later one holds ``size``, and the last the rest.  No frame
+    is empty, and the walk stops at the last leaf of the frame it yields;
+    ``cut`` and ``merged`` as for ``_walk``."""
     ent = list(prefix) + [0] * (2 * order - len(prefix))
+    full = len(ent)
+    frame: list[int] = []
     for _ in _walk(ent, seed, visits, order, cut, merged):
-        yield tuple(ent)
+        frame += ent
+        if len(frame) == full:
+            yield frame
+            frame = []
+            full = size * len(ent)
+    if frame:
+        yield frame
 
 
 def enumerate_skolem(order: int, prune: bool = True) -> Iterator[SkolemSequence]:
@@ -843,24 +858,26 @@ def _read(fd: int, size: int) -> bytes:
     return data
 
 
-def _serve(run: Callable[..., Iterable], jobs: list, tasks: int, hand: int, out: int) -> None:
-    """A forked worker's whole life; it never returns.  It closes ``hand``,
-    its copy of the parent's end of the task pipe, so that the pipe closes
-    with the parent's, and takes job indices from ``tasks`` until it does.
-    For each job i it sends to ``out`` the items of ``run(jobs[i])`` in
-    frames of ``_FRAME``, then None, or the pickled exception the job
-    raised.  It leaves only through ``os._exit``, so nothing it inherited
-    (buffered output, the caller's frames) runs twice; its status is 0 only
-    once the task pipe has closed."""
+def _serve(run: Callable[..., Iterable], jobs: list, tasks: int, ends: list[int], out: int) -> None:
+    """A forked worker's whole life; it never returns.  It closes ``ends``,
+    its copies of the parent's ends of the pipes: the task pipe's, so that
+    the pipe closes with the parent's, and every frame pipe's, its own
+    included, so that once the parent has gone, even killed, its next frame
+    fails and it ends.  It takes job indices from ``tasks`` until that pipe
+    closes.  For each job i it sends to ``out`` each item of
+    ``run(jobs[i])`` as one frame, then None, or the pickled exception the
+    job raised.  It leaves only through ``os._exit``, so nothing it
+    inherited (buffered output, the caller's frames) runs twice; its status
+    is 0 only once the task pipe has closed."""
     status = 1
     try:
-        os.close(hand)
+        for fd in ends:
+            os.close(fd)
         while raw := os.read(tasks, 4):
             i = int.from_bytes(raw, "little")
             try:
-                items = iter(run(jobs[i]))
-                while frame := list(islice(items, _FRAME)):
-                    _send(out, i, frame)
+                for item in run(jobs[i]):
+                    _send(out, i, item)
                 _send(out, i, None)
             except Exception as exc:
                 import pickle
@@ -898,8 +915,11 @@ def _receive(procs: dict[int, int], frames: list) -> None:
 def _pool(run: Callable[..., Iterable], jobs: list, workers: int) -> Iterator:
     """The items of ``run(job)`` for each job, in job order, each job run in
     one of ``workers`` processes forked from this one, so neither the jobs
-    nor ``run`` are pickled; the items must suit ``marshal``.  The package
-    starts no thread, so a fork copies no lock that another thread holds.
+    nor ``run`` are pickled; the items must suit ``marshal``.  Each item
+    crosses the pipe as one frame and is yielded as it arrives, unpacked no
+    further: a count is one item, and each frame of leaves from
+    ``_enumerate_subtree`` another.  The package starts no thread, so a fork
+    copies no lock that another thread holds.
 
     The parent hands out job indices at most 4x ``workers`` jobs past the
     job it is reading, and drains every worker with ``select``: it yields
@@ -920,7 +940,7 @@ def _pool(run: Callable[..., Iterable], jobs: list, workers: int) -> Iterator:
             procs[r] = 0  # until it is forked
             try:
                 if not (pid := os.fork()):
-                    _serve(run, jobs, tasks, hand, w)
+                    _serve(run, jobs, tasks, [hand, *procs], w)
                 procs[r] = pid
             finally:
                 os.close(w)
@@ -934,14 +954,14 @@ def _pool(run: Callable[..., Iterable], jobs: list, workers: int) -> Iterator:
             while True:
                 while not queue:
                     _receive(procs, frames)
-                items = marshal.loads(queue.popleft())
-                if items is None:
+                item = marshal.loads(queue.popleft())
+                if item is None:
                     break
-                if type(items) is bytes:
+                if type(item) is bytes:
                     import pickle
 
-                    raise pickle.loads(items)
-                yield from items
+                    raise pickle.loads(item)
+                yield item
     finally:
         if sent < len(jobs):
             os.close(hand)
@@ -978,27 +998,30 @@ def parallel_count(max_order: int, workers: int = 1) -> list[int]:
 
 
 def _enumerate_subtree(
-    job: tuple[_Node, tuple[int, ...], int, bool],
-) -> Iterator[tuple[int, ...]]:
-    seed, prefix, order, prune = job
-    return _leaves(seed, prefix, order, [0] * (2 * order + 1), [0] if prune else None)
+    job: tuple[_Node, tuple[int, ...], int, bool, int],
+) -> Iterator[list[int]]:
+    seed, prefix, order, prune, size = job
+    return _leaves(seed, prefix, order, [0] * (2 * order + 1), [0] if prune else None, size=size)
 
 
-def parallel_leaves(
-    order: int, prune: bool = True, workers: int = 1
-) -> Iterator[tuple[int, ...]]:
-    """The values of every Skolem sequence of the given order, as plain
-    tuples in canonical child order, with subtrees distributed across worker
-    processes.  The walk builds only Skolem leaves (see the module
+def leaf_frames(
+    order: int, prune: bool = True, workers: int = 1, size: int = 1
+) -> Iterator[list[int]]:
+    """The values of every Skolem sequence of the given order, in canonical
+    child order, in frames: flat lists of up to ``size`` leaves' values, one
+    leaf after another.  The walk builds only Skolem leaves (see the module
     docstring), so nothing here validates them.
 
     ``workers`` is capped as in ``parallel_count``, when the walk starts.
-    The stream is identical for any worker count.  Each subtree runs in a
-    forked worker (``_pool``), whose leaves reach the reader in batches of
-    ``_FRAME`` as the subtree produces them, subtree by subtree in canonical
-    seed order.  Closing the generator, or an error in it, kills the worker
-    processes; subtrees not yet handed to them never start.  One worker
-    walks in process.
+    One worker walks in process, in the frames of ``_leaves``: the first of
+    one leaf, the rest of exactly ``size`` but the last; it stops at the
+    last leaf of the frame being read.  Else each subtree runs in a forked
+    worker (``_pool``), which sends its leaves in the same frames as the
+    subtree produces them; they reach the reader as they are, subtree by
+    subtree in canonical seed order.  The leaves, in order, are the same
+    for any worker count and frame size.  Closing the generator, or an
+    error in it, kills the worker processes; subtrees not yet handed to
+    them never start.
     """
     workers = _worker_count(workers)
     _require_order(order)
@@ -1009,9 +1032,29 @@ def parallel_leaves(
     if workers > 1:
         prefix, seeds = _split(2 * order, workers, order, cut)
     if workers == 1 or len(prefix) == 2 * order:
-        yield from _leaves(_root(order), (), order, visits, cut)
+        yield from _leaves(_root(order), (), order, visits, cut, size=size)
         return
-    yield from _pool(_enumerate_subtree, [(seed, ent, order, prune) for seed, ent in seeds], workers)
+    jobs = [(seed, ent, order, prune, size) for seed, ent in seeds]
+    yield from _pool(_enumerate_subtree, jobs, workers)
+
+
+def parallel_leaves(
+    order: int, prune: bool = True, workers: int = 1
+) -> Iterator[tuple[int, ...]]:
+    """The leaves of ``leaf_frames``, one plain tuple of values each.  A call
+    for one worker reads frames of one leaf, so the walk, in process, stops
+    at the leaf being read; a call for more reads frames of ``_FRAME``
+    leaves, as forked workers run ahead of the reader anyway.  Closing this
+    generator closes the frames, with their worker processes.
+    """
+    width = 2 * order
+    frames = leaf_frames(order, prune, workers, 1 if workers == 1 else _FRAME)
+    try:
+        for frame in frames:
+            for i in range(0, len(frame), width):
+                yield tuple(frame[i : i + width])
+    finally:
+        frames.close()
 
 
 def parallel_enumerate(

@@ -142,6 +142,29 @@ def test_a_killed_worker_exits_3(monkeypatch, capsys, target, argv):
     assert_no_child_process()
 
 
+def test_a_killed_enumerate_leaves_no_worker_behind():
+    # the command is killed while its workers are still walking: each
+    # worker's next frame fails, as no process holds its pipe's read end any
+    # more, so it ends and lets go of the command's stdout and stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skolemgen.cli", "enumerate", "--order", "12", "--workers", "2"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+        start_new_session=True,
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.kill()
+        # workers left blocked on a full frame pipe would hold both open
+        proc.communicate(timeout=30)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 
@@ -193,6 +216,58 @@ def test_enumerate_to_file(tmp_path, capsys):
 
 def test_enumerate_unwritable_path():
     assert run(["enumerate", "--order", "1", "--out", "/nonexistent/dir/x"]) == 4
+
+
+def _per_leaf(order, fmt):
+    """enumerate's output for ``order``, one leaf at a time from the library."""
+    lines = []
+    for s in enumerate_skolem(order):
+        values = list(s.values)
+        lines.append(json.dumps({"order": order, "values": values}) if fmt == "ndjson" else ",".join(map(str, values)))
+    return "".join(line + "\n" for line in lines)
+
+
+FRAME_ORDERS = range(1, 10)  # empty orders among them; order 9's last frame is partial
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3", "8"])
+@pytest.mark.parametrize("fmt", ["text", "ndjson"])
+def test_enumerate_frames_match_a_per_leaf_reference(capsys, tmp_path, eight_cpus, fmt, workers):
+    # a frame's text fills stdout's buffer; whatever the frames, stdout and an
+    # --out file hold exactly the leaves printed one by one
+    for order in FRAME_ORDERS:
+        expected = _per_leaf(order, fmt)
+        count = expected.count("\n")
+        argv = ["enumerate", "--order", str(order), "--format", fmt, "--workers", workers]
+        assert run(argv) == 0
+        assert capsys.readouterr() == (expected, f"skolemgen: {count} sequence(s) of order {order}\n")
+        target = tmp_path / f"{order}.{fmt}"
+        assert run([*argv, "--out", str(target)]) == 0
+        assert target.read_bytes() == expected.encode()
+        assert capsys.readouterr() == ("", f"skolemgen: {count} sequence(s) of order {order}\n")
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("fmt", ["text", "ndjson"])
+@pytest.mark.parametrize("order", [2, 3, 6, 7, 10])
+def test_enumerate_an_empty_order_prints_no_frame(capsys, fmt, order):
+    assert run(["enumerate", "--order", str(order), "--format", fmt]) == 0
+    assert capsys.readouterr() == ("", f"skolemgen: 0 sequence(s) of order {order}\n")
+
+
+def test_enumerate_writes_whole_frames_the_last_one_partial(monkeypatch, capsys):
+    # order 9's text lines are 36 characters, so a frame fills 8192 with 228
+    # leaves: the first leaf alone, 11 whole frames and a last one of 147,
+    # each one write
+    writes = []
+    stdout = io.StringIO()
+    monkeypatch.setattr(stdout, "write", lambda text: writes.append(text) or len(text), raising=False)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["enumerate", "--order", "9"]) == 0
+    assert [text.count("\n") for text in writes] == [1] + [228] * 11 + [147]
+    assert len(writes[1]) == 228 * 36 >= io.DEFAULT_BUFFER_SIZE > 227 * 36
+    assert "".join(writes) == _per_leaf(9, "text")
+    assert capsys.readouterr().err == "skolemgen: 2656 sequence(s) of order 9\n"
 
 
 def test_two_runs_byte_identical(capsys):
@@ -479,7 +554,7 @@ def test_sts_answers_an_inadmissible_order_without_a_walk(monkeypatch, capsys):
     assert time.perf_counter() - start < 1
     assert capsys.readouterr() == ("", "skolemgen: no sequence of order 14 at index 0\n")
     walks = []
-    monkeypatch.setattr(cli.engine, "parallel_leaves", lambda *args: walks.append(args) or iter(()))
+    monkeypatch.setattr(cli.engine, "leaf_frames", lambda *args: walks.append(args) or (_ for _ in ()))
     for order in (2, 3, 6, 7, 10, 11):
         assert run(["sts", "--order", str(order), "--index", "2"]) == 5
         assert capsys.readouterr() == ("", f"skolemgen: no sequence of order {order} at index 2\n")
@@ -491,7 +566,7 @@ def test_sts_answers_an_inadmissible_order_without_a_walk(monkeypatch, capsys):
 def test_sts_refuses_an_x_past_6n_before_a_walk(monkeypatch, capsys, x):
     # a usage error needs no walk, and comes before the answer for an inadmissible order
     walks = []
-    monkeypatch.setattr(cli.engine, "parallel_leaves", lambda *args: walks.append(args) or iter(()))
+    monkeypatch.setattr(cli.engine, "leaf_frames", lambda *args: walks.append(args) or (_ for _ in ()))
     for order in (9, 14):
         assert run(["sts", "--order", str(order), "--x", str(x)]) == 2
         assert capsys.readouterr() == ("", f"skolemgen: x must lie in 0..{6 * order}, got {x}\n")
@@ -684,6 +759,22 @@ def test_order_12_ndjson_prefix_is_valid_and_fixed():
         assert len(values) == 24 and oracle_validate(values)
 
 
+def test_order_12_into_a_reader_of_one_line_is_a_normal_exit():
+    # `enumerate --order 12 | head -1`: the reader takes the first frame's
+    # first line and goes away; a later frame's write ends the run
+    head = subprocess.Popen(["head", "-1"], stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skolemgen.cli", "enumerate", "--order", "12"],
+        stdin=subprocess.DEVNULL, stdout=head.stdin, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    head.stdin.close()
+    out = head.stdout.read()
+    head.stdout.close()
+    err = proc.communicate(timeout=120)[1]
+    assert (head.wait(timeout=120), proc.returncode, err) == (0, 0, b"")
+    assert out == b",".join(b"%d" % v for v in next(enumerate_skolem(12)).values) + b"\n"
+
+
 def test_count_open_into_closed_pipe_is_a_normal_exit(monkeypatch, capsys):
     # count-open prints too little to outrun a reader, so close the read end
     # before the first write
@@ -823,7 +914,7 @@ def test_an_order_too_large_to_walk_is_resource_exhaustion(capsys, command, orde
 @pytest.mark.parametrize(
     "target, argv",
     [
-        ("cli.engine.parallel_leaves", ["enumerate", "--order", "9", "--workers", "1"]),
+        ("cli.engine.leaf_frames", ["enumerate", "--order", "9", "--workers", "1"]),
         # forked workers inherit the patch; the pool re-raises their MemoryError
         ("cli.engine._enumerate_subtree", ["enumerate", "--order", "9", "--workers", "2"]),
         # write_sts develops before its first write

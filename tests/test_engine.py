@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_no_child_process
-from skolemgen import engine, oracle
+from skolemgen import cli, engine, oracle
 from skolemgen.core import (
     EMPTY_STATE,
     OpenState,
@@ -471,6 +471,26 @@ def test_parallel_leaves_match_one_worker_in_order(workers, eight_cpus):
             assert list(parallel_leaves(order, prune, workers)) == expected, (order, prune)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_leaf_frames_hold_the_leaves_in_order(workers, eight_cpus):
+    # in process the first frame holds one leaf and every later one but the
+    # last exactly ``size``; a worker's frames do too, in each subtree; no
+    # frame is empty
+    for order, prune in ((5, True), (5, False), (8, True), (9, True)):
+        leaves = list(parallel_leaves(order, prune))
+        flat = [v for leaf in leaves for v in leaf]
+        for size in (1, 2, 7, 504, 505):
+            frames = list(engine.leaf_frames(order, prune, workers, size))
+            assert [v for frame in frames for v in frame] == flat, (order, size)
+            lengths = [len(frame) // (2 * order) for frame in frames]
+            assert all(0 < k <= size for k in lengths) and sum(lengths) == len(leaves)
+            if workers == 1:
+                assert lengths[0] == 1 and lengths[1:-1] == [size] * (len(lengths) - 2)
+                assert lengths[-1] == len(leaves) - 1 - size * (len(lengths) - 2)
+    assert list(engine.leaf_frames(10, True, workers, 3)) == []
+    assert_no_child_process()
+
+
 def _no_reference(*args):
     raise AssertionError("a node was judged by _feasible")
 
@@ -703,7 +723,7 @@ def test_pruned_walk_from_any_seed_matches_a_level_sweep(order, merging_off):
     for s, seed, prefix in _listed_seeds(order):
         n = s.order
         visits, cut = [0] * (depth + 1), [0]
-        leaves = list(engine._leaves(seed, prefix, order, visits, cut))
+        leaves = list(map(tuple, engine._leaves(seed, prefix, order, visits, cut)))
         assert visits[:n + 1] == [0] * n + [1]
         assert (visits[n + 1:], cut[0], leaves) == _pruned_sweep(order, s), str(s)
 
@@ -773,7 +793,7 @@ def test_merged_walk_from_any_seed_matches_a_counter_sweep(order):
     for s, seed, prefix in _listed_seeds(order):
         n = s.order
         visits, cut, merged = [0] * (depth + 1), [0], [0]
-        leaves = list(engine._leaves(seed, prefix, order, visits, cut, merged))
+        leaves = list(map(tuple, engine._leaves(seed, prefix, order, visits, cut, merged)))
         assert visits[:n + 1] == [0] * n + [1]
         got = (visits[n + 1:], cut[0], merged[0], len(leaves))
         assert got == _merged_sweep(order, s), str(s)
@@ -819,16 +839,19 @@ def test_a_full_record_builds_no_more_replays(monkeypatch):
 
 def test_merged_walk_stopped_at_the_20000th_order12_leaf():
     # the benchmark's enumerate prefix: the walk stops inside replays, and
-    # every figure counts exactly the nodes settled up to that leaf
+    # every figure counts exactly the nodes settled up to that leaf, the last
+    # of the second frame
     visits, cut, merged = [0] * 25, [0], [0]
-    walk = engine._leaves(engine._root(12), (), 12, visits, cut, merged)
-    leaves = list(islice(walk, 20_000))
+    walk = engine._leaves(engine._root(12), (), 12, visits, cut, merged, size=19_999)
+    first = next(walk)
+    frame = first + next(walk)
+    assert (len(first), len(frame)) == (24, 20_000 * 24)
     assert visits[1:] == [
         1, 1, 1, 1, 1, 1, 2, 12, 71, 357, 1473, 4629, 12192, 20113,
         28656, 35742, 24517, 25455, 27219, 26690, 24088, 21377, 20110, 20012,
     ]
     assert (cut[0], merged[0]) == (81812, 132325)
-    digest = hashlib.md5(bytes(v for leaf in leaves for v in leaf)).hexdigest()
+    digest = hashlib.md5(bytes(frame)).hexdigest()
     assert digest == "b2865a1d1f839e0a02726c65ff4584af"
 
 
@@ -904,7 +927,7 @@ def test_pruned_walk_figures_up_to_the_first_order17_leaf(monkeypatch, merging_o
     monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 1_000)
     monkeypatch.setattr(engine, "print", _walk_too_long, raising=False)
     visits, cut = [0] * 35, [0]
-    first = next(engine._leaves(engine._root(17), (), 17, visits, cut))
+    first = tuple(next(engine._leaves(engine._root(17), (), 17, visits, cut)))
     assert first == (
         17, 15, 16, 11, 9, 10, 14, 12, 13, 3, 1, 1, 3, 9, 11, 10, 15,
         17, 16, 12, 14, 13, 8, 5, 7, 2, 6, 2, 5, 4, 8, 7, 6, 4,
@@ -913,6 +936,48 @@ def test_pruned_walk_figures_up_to_the_first_order17_leaf(monkeypatch, merging_o
     assert sum(visits[1:]) == 76 < sum(ORDER17_FIRST_LEAF_VISITS_BEFORE) == 1685158
     assert cut[0] == 40  # 1426444 + 1 before; one is the leaf's sibling opener
 
+
+@pytest.mark.parametrize("reader", ["parallel_leaves", "sts"])
+def test_a_per_leaf_reader_stops_the_walk_at_the_first_order17_leaf(monkeypatch, capsys, merging_off, reader):
+    # parallel_leaves reads frames of one leaf, so its first leaf settles the
+    # same figures as the walk stopped there; ``sts --order 17`` reads it so
+    monkeypatch.setattr(engine, "PROGRESS_INTERVAL", 1_000)
+    monkeypatch.setattr(engine, "print", _walk_too_long, raising=False)
+    walks = []
+
+    def logged_walk(ent, seed, visits, order=0, cut=None, merged=None, _run=engine._walk):
+        walks.append((visits, cut))
+        return _run(ent, seed, visits, order, cut, merged)
+
+    monkeypatch.setattr(engine, "_walk", logged_walk)
+    if reader == "sts":
+        assert cli.main(["sts", "--order", "17"]) == 0
+        assert capsys.readouterr().out.endswith("VERIFIED\n")
+    else:
+        assert next(parallel_leaves(17))[:4] == (17, 15, 16, 11)
+    [(visits, cut)] = walks
+    assert (visits[1:], cut[0]) == (ORDER17_FIRST_LEAF_VISITS, 40)
+
+
+
+@pytest.mark.parametrize("k", [2, 3, 300])
+def test_parallel_leaves_walks_no_further_than_the_leaf_read(monkeypatch, k):
+    # in process every leaf is a frame of its own, so reading k leaves settles
+    # the same figures as a walk of frames of one leaf stopped at the k-th
+    walks = []
+
+    def logged_walk(ent, seed, visits, order=0, cut=None, merged=None, _run=engine._walk):
+        walks.append((visits, cut))
+        return _run(ent, seed, visits, order, cut, merged)
+
+    monkeypatch.setattr(engine, "_walk", logged_walk)
+    leaves = parallel_leaves(12)
+    got = list(islice(leaves, k))
+    visits, cut = [0] * 25, [0]
+    expected = list(islice(engine._leaves(engine._root(12), (), 12, visits, cut), k))
+    assert got == list(map(tuple, expected))
+    assert walks[0] == (visits, cut)
+    leaves.close()
 
 ORDER20_FIRST_LEAF = (
     20, 18, 19, 15, 12, 10, 11, 16, 17, 13, 14, 3, 1, 1, 3, 10, 12, 11, 15, 18,

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts in ``scripts/``: each runs at a tiny size and
 exits 0, also when the reader of its stdout has gone away."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -180,7 +181,8 @@ def test_bench_pairs_aggregates_alternating_pairs(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     report = json.loads((tmp_path / "BENCH.json").read_text())
-    assert list(report) == ["description", "host", "src_sha256", "unpaired_workloads", "workloads"]
+    assert list(report) == ["description", "host", "src_sha256", "complete", "unpaired_workloads", "workloads"]
+    assert report["complete"] is True
     assert report["src_sha256"] == {"parent": "parent", "change": "change"}
     assert report["unpaired_workloads"] == []
     assert list(report["workloads"]) == ["certify", "count"]
@@ -194,13 +196,20 @@ def test_bench_pairs_aggregates_alternating_pairs(tmp_path):
         "parent": {"median": 2.0, "q1": 1.5, "q3": 2.5},
         "change": {"median": 1.5, "q1": 1.0, "q3": 2.75},
         "change_vs_parent_median": -0.25, "pairs_change_better": 2, "pairs": 3,
+        # the pairs' ratios 0.5, 2.0 and 0.5
+        "ratio": {"median": 0.5, "q1": 0.5, "q3": 1.25, "below_1": 2, "above_1": 1},
         "parent_runs": [1.0, 2.0, 3.0], "change_runs": [0.5, 4.0, 1.5],
     }
     rate = entry["metrics"]["rate_per_s"]
     assert (rate["parent_runs"], rate["change_runs"], rate["pairs_change_better"]) == ([1, 2, 3], [2, 1, 6], 2)
+    assert rate["ratio"] == {"median": 2.0, "q1": 1.25, "q3": 2.0, "below_1": 1, "above_1": 2}
     verify = entry["command_wall_s"]["verify"]
     assert (verify["parent"]["median"], verify["change"]["median"], verify["pairs_change_better"]) == (4.0, 3.0, 2)
-    assert entry["command_wall_s"]["sts0"]["pairs_change_better"] == 0  # ties count for neither
+    assert verify["ratio"] == {"median": 0.5, "q1": 0.5, "q3": 1.25, "below_1": 2, "above_1": 1}
+    sts0 = entry["command_wall_s"]["sts0"]
+    # ties count for neither side, and a ratio of 1 is on neither side of it
+    assert sts0["pairs_change_better"] == 0
+    assert sts0["ratio"] == {"median": 1.0, "q1": 1.0, "q3": 1.0, "below_1": 0, "above_1": 0}
     # one line per run, in alternating order, then one row per metric and command
     runs = [line.split(":")[0] for line in proc.stdout.splitlines()[:12]]
     assert runs[:6] == [
@@ -249,3 +258,38 @@ def test_bench_pairs_stops_on_a_failed_run(tmp_path):
     assert proc.stderr.startswith("bench_pairs: benchmarks/run.py --workload certify --seed 1 ")
     assert proc.stderr.endswith("exited 1: no package\n")
     assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_bench_pairs_keeps_the_pairs_before_a_late_failure(tmp_path):
+    # the change's run fails at the third seed: the file written after the
+    # second pair stays, marked incomplete
+    argv = _bench_copies(tmp_path)
+    (tmp_path / "change" / "benchmarks" / "run.py").write_text(
+        STUB_RUN.replace("seed = int(a.seed)", "seed = int(a.seed)\nif seed == 3:\n    raise SystemExit('late')")
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), *argv],
+        capture_output=True, text=True, env=_env(), timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.endswith("exited 1: late\n")
+    report = json.loads((tmp_path / "BENCH.json").read_text())
+    assert report["complete"] is False
+    assert list(report["workloads"]) == ["certify"]
+    entry = report["workloads"]["certify"]
+    assert (entry["seeds"], entry["first_in_pair"]) == ([1, 2], ["parent", "change"])
+    wall = entry["metrics"]["wall_s"]
+    assert (wall["parent_runs"], wall["change_runs"], wall["pairs"]) == ([1.0, 2.0], [0.5, 4.0], 2)
+    assert wall["ratio"] == {"median": 1.25, "q1": 0.875, "q3": 1.625, "below_1": 1, "above_1": 1}
+
+
+def test_bench_pairs_ratios_of_the_stored_pr30_runs():
+    # BENCH_30.json's certify rate_per_s: 10 pairs, each faster, whose ratios
+    # sit far tighter than the parent's own runs
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    rate = json.loads((ROOT / "BENCH_30.json").read_text())["workloads"]["certify"]["metrics"]["rate_per_s"]
+    r = bench_pairs.ratios(rate["parent_runs"], rate["change_runs"])
+    assert (round(r["median"], 4), round(r["q1"], 4), round(r["q3"], 4)) == (1.2826, 1.2296, 1.3106)
+    assert (r["below_1"], r["above_1"]) == (0, 10)
